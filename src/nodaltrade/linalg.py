@@ -156,19 +156,3 @@ def mat_vec(matrix, vec):
         for row in matrix
     )
 
-
-def vec_sub(u, v):
-    return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v))
-
-
-def vec_add(u, v):
-    return tuple(Fraction(a) + Fraction(b) for a, b in zip(u, v))
-
-
-def vec_scale(c, v):
-    c = Fraction(c)
-    return tuple(c * Fraction(x) for x in v)
-
-
-def is_zero_vector(v) -> bool:
-    return all(x == 0 for x in v)

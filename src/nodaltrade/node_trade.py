@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InconsistentDataError, InvalidInputError, SubspaceError
 from .loop_matrix import (
@@ -22,8 +23,10 @@ from .loop_matrix import (
 from .tensor_oracle import (
     BilinearSpace,
     DenseTensor,
-    all_diagonal_multivectors,
-    all_form_tensors,
+    check_brute_force_budget,
+    contract_support,
+    diagonal_supports,
+    form_supports,
 )
 
 
@@ -61,16 +64,27 @@ class InvariantTensor:
     def from_coordinates(n: int, space: BilinearSpace, coords) -> "InvariantTensor":
         if not isinstance(coords, PairingVector):
             coords = PairingVector(n, coords)
-        forms = all_form_tensors(n, space)
-        size = space.dim ** (2 * n)
-        acc = [Fraction(0)] * size
-        for c, f in zip(coords.coords, forms):
+        if coords.n != n:
+            raise InvalidInputError(f"coordinates are for n={coords.n}, not n={n}")
+        supports = form_supports(n, space)
+        # sum c_P * T_P in integers over the coordinates' common denominator
+        den = lcm(*(c.denominator for c in coords.coords))
+        acc = {}
+        for c, support in zip(coords.coords, supports):
             if not c:
                 continue
-            for flat, value in enumerate(f.coeffs):
-                if value:
-                    acc[flat] += c * value
-        tensor = DenseTensor(n=n, dim=space.dim, coeffs=tuple(acc))
+            scale = c.numerator * (den // c.denominator)
+            for flat, value in support:
+                acc[flat] = acc.get(flat, 0) + scale * value
+        # equal totals share one Fraction; zero totals get the zero entry
+        values = {0: Fraction(0)}
+        coeffs = [values[0]] * space.dim ** (2 * n)
+        for flat, total in acc.items():
+            value = values.get(total)
+            if value is None:
+                value = values[total] = Fraction(total, den)
+            coeffs[flat] = value
+        tensor = DenseTensor(n=n, dim=space.dim, coeffs=tuple(coeffs))
         return InvariantTensor(n=n, space=space, tensor=tensor, coordinates=coords)
 
     @staticmethod
@@ -139,17 +153,11 @@ def _fixed_by_monomial(t: DenseTensor, mapping) -> bool:
 
 def contract_with_all_diagonals(omega: InvariantTensor) -> PairingVector:
     """Vector of contractions of the tensor against every diagonal multivector."""
-    diags = all_diagonal_multivectors(omega.n, omega.space)
+    coeffs = omega.tensor.coeffs
     return PairingVector(
-        omega.n, tuple(contract_dense(omega.tensor, d) for d in diags)
+        omega.n,
+        tuple(contract_support(coeffs, d) for d in diagonal_supports(omega.n, omega.space)),
     )
-
-
-def contract_dense(t: DenseTensor, d: DenseTensor) -> Fraction:
-    """Contraction driven by the sparse support of the diagonal factor."""
-    if t.n != d.n or t.dim != d.dim:
-        raise InvalidInputError("shape mismatch in contraction")
-    return Fraction(sum(a * b for a, b in zip(t.coeffs, d.coeffs) if b))
 
 
 def recover(contractions, n: int, space: BilinearSpace, sign: int = 1) -> InvariantTensor:
@@ -163,6 +171,7 @@ def recover(contractions, n: int, space: BilinearSpace, sign: int = 1) -> Invari
     """
     if sign not in (1, -1):
         raise InvalidInputError(f"sign must be +1 or -1, got {sign}")
+    check_brute_force_budget(n, space.dim)
     if not isinstance(contractions, PairingVector):
         contractions = PairingVector(n, contractions)
     if contractions.n != n:

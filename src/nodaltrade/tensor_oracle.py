@@ -1,7 +1,9 @@
 """Brute-force multilinear oracles on explicit orthogonal/symplectic spaces.
 
-Builds the covariant pairing tensors, the contravariant diagonal
-multivectors, and their full contractions on dense coefficient arrays.
+Builds the covariant pairing tensors and the contravariant diagonal
+multivectors as supports (their nonzero entries, enumerated directly),
+scatters them into dense coefficient arrays, and contracts a dense array
+against a support.
 The central assertion of the module is that the matrix of contractions
 reproduces the loop matrix at x = k (orthogonal) or x = -2k (symplectic);
 tests and the CLI perform that comparison entrywise, keeping the two
@@ -13,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from math import lcm, prod
 
 from . import linalg
 from .errors import InvalidInputError, ResourceLimitError
@@ -72,8 +76,12 @@ class DenseTensor:
     """Order-2n tensor as a dense slot-major coefficient array.
 
     Index (a_1, ..., a_2n) with 0-based a_i lives at flat position
-    sum a_i * dim^(2n - i).  Dense on purpose: the contraction oracle
-    should have no shortcuts that could hide a sign error.
+    sum a_i * dim^(2n - i).  The pairing tensors of this module are
+    scattered from their supports (see `pairing_supports`), and
+    contraction reads a dense array only at the positions of a support.
+    Both supports come from enumerating every index choice that hits a
+    nonzero form entry, so the route is still brute force and shares no
+    code with the loop matrix.
     """
 
     n: int
@@ -104,64 +112,91 @@ class DenseTensor:
         return not any(self.coeffs)
 
 
-def _zero_coeffs(dim: int, order: int) -> list:
-    return [0] * (dim ** order)
+def check_brute_force_budget(n: int, dim: int) -> None:
+    if n > BRUTE_FORCE_MAX_N or dim > BRUTE_FORCE_MAX_DIM:
+        raise ResourceLimitError(
+            f"brute force limited to n <= {BRUTE_FORCE_MAX_N} and "
+            f"dim <= {BRUTE_FORCE_MAX_DIM}, got n={n}, dim={dim}"
+        )
 
 
-def _pair_fill(p: Pairing, dim: int, matrix, sign: int) -> DenseTensor:
-    """Dense tensor whose coefficient at (a_1..a_2n) is
-    sign * prod over pairs (i,j) of matrix[a_i][a_j]."""
-    order = 2 * p.n
-    coeffs = _zero_coeffs(dim, order)
+def pairing_supports(p: Pairing, space: BilinearSpace):
+    """Supports of the form tensor and the diagonal multivector of p.
 
-    # enumerate only index tuples where every pair hits a nonzero form entry
-    def rec(pair_idx, index, value):
-        if pair_idx == p.n:
-            flat = 0
-            for a in index:
-                flat = flat * dim + a
-            coeffs[flat] = value
-            return
-        i, j = p.pairs[pair_idx]
-        for a in range(dim):
-            row = matrix[a]
-            for b in range(dim):
-                entry = row[b]
-                if not entry:
-                    continue
-                index[i - 1] = a
-                index[j - 1] = b
-                rec(pair_idx + 1, index, value * entry)
+    A support is the tuple of (flat, value) pairs of a tensor's nonzero
+    coefficients, sorted by flat position.  The coefficient at
+    (a_1..a_2n) is sign * prod over pairs (i, j) of matrix[a_i][a_j],
+    with the form for the covariant tensor and the inverse form for the
+    contravariant one.  One enumeration over every choice of a nonzero
+    entry per pair yields both.
 
-    rec(0, [0] * order, sign)
-    return DenseTensor(n=p.n, dim=dim, coeffs=tuple(coeffs))
+    The symplectic flavor takes each factor in increasing slot order and
+    carries the global crossing sign (-1)^c(P); the orthogonal factor is
+    symmetric so no ordering or sign is needed.  In the symplectic
+    flavor the inverse bivector of the pair (i, j), i < j, sits in the
+    slots in decreasing order (j, i), which makes its slot-(i, j)
+    coefficient array exactly the inverse form matrix.
+    """
+    dim, order = space.dim, 2 * p.n
+    check_brute_force_budget(p.n, dim)
+    form, inverse = space.form, space.inverse_form
+    sign = -1 if space.flavor != ORTHOGONAL and crossing_number(p) % 2 else 1
+    weight = [dim ** (order - slot) for slot in range(1, order + 1)]
+    factors = [
+        [
+            (a * weight[i - 1] + b * weight[j - 1], form[a][b], inverse[a][b])
+            for a in range(dim)
+            for b in range(dim)
+            if form[a][b] or inverse[a][b]
+        ]
+        for i, j in p.pairs
+    ]
+    forms, diags = [], []
+    for choice in product(*factors):
+        flat = sum(entry[0] for entry in choice)
+        value = sign * prod(entry[1] for entry in choice)
+        if value:
+            forms.append((flat, value))
+        value = sign * prod(entry[2] for entry in choice)
+        if value:
+            diags.append((flat, value))
+    forms.sort()
+    diags.sort()
+    return tuple(forms), tuple(diags)
+
+
+def _scatter(n: int, dim: int, support) -> DenseTensor:
+    coeffs = [0] * dim ** (2 * n)
+    for flat, value in support:
+        coeffs[flat] = value
+    return DenseTensor(n=n, dim=dim, coeffs=tuple(coeffs))
 
 
 def form_tensor(p: Pairing, space: BilinearSpace) -> DenseTensor:
-    """The covariant tensor: product of the form over the pairs of p.
-
-    Symplectic flavor takes each factor in increasing slot order and
-    carries the global crossing sign (-1)^c(P); the orthogonal factor is
-    symmetric so no ordering or sign is needed.
-    """
-    if space.flavor == ORTHOGONAL:
-        return _pair_fill(p, space.dim, space.form, 1)
-    sign = -1 if crossing_number(p) % 2 else 1
-    return _pair_fill(p, space.dim, space.form, sign)
+    """The covariant tensor: product of the form over the pairs of p."""
+    return _scatter(p.n, space.dim, pairing_supports(p, space)[0])
 
 
 def diagonal_multivector(p: Pairing, space: BilinearSpace) -> DenseTensor:
-    """The contravariant tensor: product of inverse-form bivectors.
+    """The contravariant tensor: product of inverse-form bivectors."""
+    return _scatter(p.n, space.dim, pairing_supports(p, space)[1])
 
-    In the symplectic flavor the inverse bivector of the pair (i, j),
-    i < j, sits in the slots in decreasing order (j, i), which makes its
-    slot-(i, j) coefficient array exactly the inverse form matrix; the
-    global crossing sign matches the covariant convention.
+
+def contract_support(coeffs, support) -> Fraction:
+    """Sum of coeffs[flat] * value over the (flat, value) pairs of a support.
+
+    Reads only the listed entries and adds integer numerators over their
+    common denominator, so the only Fraction built is the result.
     """
-    if space.flavor == ORTHOGONAL:
-        return _pair_fill(p, space.dim, space.inverse_form, 1)
-    sign = -1 if crossing_number(p) % 2 else 1
-    return _pair_fill(p, space.dim, space.inverse_form, sign)
+    read = [(coeffs[flat], value) for flat, value in support]
+    den = lcm(*{c.denominator * v.denominator for c, v in read})
+    return Fraction(
+        sum(
+            c.numerator * v.numerator * (den // (c.denominator * v.denominator))
+            for c, v in read
+        ),
+        den,
+    )
 
 
 def contract(form: DenseTensor, vec: DenseTensor) -> Fraction:
@@ -170,7 +205,7 @@ def contract(form: DenseTensor, vec: DenseTensor) -> Fraction:
         raise InvalidInputError(
             f"shape mismatch: ({form.n}, {form.dim}) vs ({vec.n}, {vec.dim})"
         )
-    return Fraction(sum(a * b for a, b in zip(form.coeffs, vec.coeffs) if a))
+    return contract_support(form.coeffs, [(flat, c) for flat, c in enumerate(vec.coeffs) if c])
 
 
 def permute_slots(t: DenseTensor, g) -> DenseTensor:
@@ -179,7 +214,7 @@ def permute_slots(t: DenseTensor, g) -> DenseTensor:
     if sorted(g) != list(range(1, order + 1)):
         raise InvalidInputError(f"not a bijection on 1..{order}: {g}")
     dim = t.dim
-    coeffs = _zero_coeffs(dim, order)
+    coeffs = [0] * dim ** order
     # new[a] = old[a o g]: the old factor at slot j is read off at a_{g(j)}
     for flat in range(len(coeffs)):
         rem = flat
@@ -194,54 +229,56 @@ def permute_slots(t: DenseTensor, g) -> DenseTensor:
     return DenseTensor(n=t.n, dim=dim, coeffs=tuple(coeffs))
 
 
-def _check_brute_force_budget(n: int, dim: int) -> None:
-    if n > BRUTE_FORCE_MAX_N or dim > BRUTE_FORCE_MAX_DIM:
-        raise ResourceLimitError(
-            f"brute force limited to n <= {BRUTE_FORCE_MAX_N} and "
-            f"dim <= {BRUTE_FORCE_MAX_DIM}, got n={n}, dim={dim}"
-        )
-
-
 @lru_cache(maxsize=None)
-def _cached_tensors(n: int, flavor: str, k: int):
+def _supports(n: int, flavor: str, k: int):
     space = BilinearSpace(flavor, k)
-    ps = enumerate_pairings(n)
-    forms = tuple(form_tensor(p, space) for p in ps)
-    diags = tuple(diagonal_multivector(p, space) for p in ps)
-    return forms, diags
+    check_brute_force_budget(n, space.dim)
+    pairs = tuple(pairing_supports(p, space) for p in enumerate_pairings(n))
+    return tuple(f for f, _ in pairs), tuple(d for _, d in pairs)
+
+
+def form_supports(n: int, space: BilinearSpace):
+    """Supports of the form tensors of all n-pairings, in enumeration order."""
+    return _supports(n, space.flavor, space.k)[0]
+
+
+def diagonal_supports(n: int, space: BilinearSpace):
+    """Supports of the diagonal multivectors of all n-pairings."""
+    return _supports(n, space.flavor, space.k)[1]
 
 
 def all_form_tensors(n: int, space: BilinearSpace):
-    return _cached_tensors(n, space.flavor, space.k)[0]
+    return tuple(_scatter(n, space.dim, s) for s in form_supports(n, space))
 
 
 def all_diagonal_multivectors(n: int, space: BilinearSpace):
-    return _cached_tensors(n, space.flavor, space.k)[1]
+    return tuple(_scatter(n, space.dim, s) for s in diagonal_supports(n, space))
 
 
 def diagonal_insertion_matrix(n: int, space: BilinearSpace):
     """Entry (P, P'): contraction of the P form tensor with the P' diagonal.
 
-    Pure brute force over the dense arrays; never consults the loop
-    matrix, so comparing the two is a genuine dual-route check.
+    Brute force: each dense form tensor is read at every nonzero position
+    of each diagonal.  Never consults the loop matrix, so comparing the
+    two is a genuine dual-route check.
     """
-    _check_brute_force_budget(n, space.dim)
-    forms, diags = _cached_tensors(n, space.flavor, space.k)
+    forms = all_form_tensors(n, space)
+    diags = diagonal_supports(n, space)
     return tuple(
-        tuple(contract(f, d) for d in diags) for f in forms
+        tuple(contract_support(f.coeffs, d) for d in diags) for f in forms
     )
 
 
 def invariant_map_rank(n: int, space: BilinearSpace):
     """Rank and kernel of the map sending a pairing to its form tensor.
 
-    Row-reduces the (2n-1)!! x dim^2n coefficient matrix exactly.  The
-    kernel comes back as pairing vectors: the linear combinations of
-    pairings whose tensors cancel.
+    Row-reduces the (2n-1)!! x dim^2n coefficient matrix exactly, less
+    the columns where every form tensor vanishes: those change neither
+    the rank nor the kernel.  The kernel comes back as pairing vectors:
+    the linear combinations of pairings whose tensors cancel.
     """
-    _check_brute_force_budget(n, space.dim)
-    forms, _ = _cached_tensors(n, space.flavor, space.k)
-    rows = [list(f.coeffs) for f in forms]
+    columns = sorted({flat for support in form_supports(n, space) for flat, _ in support})
+    rows = [[f.coeffs[flat] for flat in columns] for f in all_form_tensors(n, space)]
     kernel = [PairingVector(n, combo) for combo in linalg.left_kernel(rows)]
     r = linalg.rank(rows)
     expected = sum(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -85,6 +86,35 @@ def test_trade_rejects_inconsistent_data(capsys, tmp_path):
     )
     assert code == 2
     assert "invariant" in err
+
+
+def test_trade_n3_report_is_pinned(capsys, tmp_path):
+    # sha256 of the report as the dense-expansion implementation printed it
+    data = tmp_path / "contractions.json"
+    data.write_text(json.dumps([
+        "-10", "-17/3", "-7/2", "-11/5", "-4/3", "-5/2", "-2/3", "1/4",
+        "4/5", "7/6", "5", "13/3", "4", "19/5", "11/3",
+    ]))
+    code, out, err = run_cli(
+        capsys, "trade", "--n", "3", "--flavor", "orthogonal", "--k", "3",
+        "--contractions", str(data),
+    )
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "71c6ac6ce5fd43f19e76f1a3feb0bb35d3aad3ce9722b0ff45f78519dcb898d5"
+    )
+
+
+def test_trade_past_brute_force_budget_exits_2(capsys, tmp_path):
+    data = tmp_path / "n4.json"
+    data.write_text(json.dumps(["0"] * 105))
+    code, out, err = run_cli(
+        capsys, "trade", "--n", "4", "--flavor", "orthogonal", "--k", "2",
+        "--contractions", str(data),
+    )
+    assert code == 2
+    assert out == ""
+    assert "brute force limited to n <= 3" in err
 
 
 def test_graphs_contract(capsys, tmp_path):

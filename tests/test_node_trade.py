@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nodaltrade.errors import InconsistentDataError, InvalidInputError
+from nodaltrade.errors import InconsistentDataError, InvalidInputError, ResourceLimitError
 from nodaltrade.loop_matrix import (
     PairingVector,
     build_loop_matrix,
@@ -44,6 +46,12 @@ def test_zero_tensor_contracts_to_zero():
     omega = InvariantTensor.zero(2, space)
     assert contract_with_all_diagonals(omega).is_zero()
     assert omega.tensor.is_zero()
+
+
+def test_coordinates_for_another_n_refused():
+    space = BilinearSpace("orthogonal", 2)
+    with pytest.raises(InvalidInputError):
+        InvariantTensor.from_coordinates(2, space, PairingVector(3, range(15)))
 
 
 def test_first_row_fixture():
@@ -171,3 +179,39 @@ def test_spot_check_invariance():
     bad = [0] * space.dim**4
     bad[0] = 1  # the bare monomial e1 x e1 x e1 x e1 is not O(V)-invariant
     assert not spot_check_invariance(DenseTensor(2, space.dim, tuple(bad)), space)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cell=st.sampled_from(
+        [(flavor, n, k) for flavor in ("orthogonal", "symplectic") for n in (1, 2, 3) for k in (1, 2, 3)]
+    ),
+    data=st.data(),
+)
+def test_roundtrip_rational_coordinates(cell, data):
+    # denominators other than 1 exercise the common-denominator expansion
+    flavor, n, k = cell
+    space = BilinearSpace(flavor, k)
+    rational = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    coords = PairingVector(
+        n, data.draw(st.lists(rational, min_size=double_factorial_odd(n), max_size=double_factorial_odd(n)))
+    )
+    omega = InvariantTensor.from_coordinates(n, space, coords)
+    contractions = contract_with_all_diagonals(omega)
+    assert contractions == build_loop_matrix(n, flavor_specialization(flavor, k)).apply(coords)
+    back = recover(contractions, n, space)
+    assert back.tensor == omega.tensor
+    assert back.coordinates == project_invariant(coords, flavor, k)
+
+
+def test_brute_force_budget_on_every_entry_point():
+    space = BilinearSpace("orthogonal", 4)
+    with pytest.raises(ResourceLimitError, match="n <= 3"):
+        InvariantTensor.from_coordinates(4, space, PairingVector.zero(4))
+    with pytest.raises(ResourceLimitError, match="n <= 3"):
+        recover(PairingVector.zero(4), 4, space)
+    wide = BilinearSpace("symplectic", 4)
+    with pytest.raises(ResourceLimitError, match="dim <= 6"):
+        InvariantTensor.from_coordinates(1, wide, (1,))
+    with pytest.raises(ResourceLimitError, match="dim <= 6"):
+        recover(PairingVector(1, (1,)), 1, wide)

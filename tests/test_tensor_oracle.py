@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -13,13 +14,21 @@ from nodaltrade.loop_matrix import admissible_partitions
 from nodaltrade.tensor_oracle import (
     BilinearSpace,
     DenseTensor,
+    _supports,
+    all_diagonal_multivectors,
+    all_form_tensors,
     contract,
+    contract_support,
     diagonal_insertion_matrix,
     diagonal_multivector,
+    diagonal_supports,
+    form_supports,
     form_tensor,
     invariant_map_rank,
     permute_slots,
 )
+
+CELLS = [(flavor, k) for flavor in ("orthogonal", "symplectic") for k in (1, 2, 3)]
 
 
 def test_space_forms():
@@ -179,6 +188,48 @@ def test_resource_ceiling():
         diagonal_insertion_matrix(4, BilinearSpace("orthogonal", 2))
     with pytest.raises(ResourceLimitError):
         invariant_map_rank(2, BilinearSpace("symplectic", 4))
+    with pytest.raises(ResourceLimitError, match="n <= 3"):
+        all_form_tensors(4, BilinearSpace("orthogonal", 4))
+    with pytest.raises(ResourceLimitError, match="dim <= 6"):
+        all_diagonal_multivectors(1, BilinearSpace("orthogonal", 7))
+    with pytest.raises(ResourceLimitError):
+        form_tensor(Pairing(((1, 2),)), BilinearSpace("symplectic", 4))
+
+
+def test_dense_tensors_are_their_supports():
+    for n in (1, 2, 3):
+        for flavor, k in CELLS:
+            space = BilinearSpace(flavor, k)
+            for dense, support in (
+                *zip(all_form_tensors(n, space), form_supports(n, space)),
+                *zip(all_diagonal_multivectors(n, space), diagonal_supports(n, space)),
+            ):
+                nonzero = tuple((flat, c) for flat, c in enumerate(dense.coeffs) if c)
+                assert nonzero == support
+                assert len(support) == space.dim ** n
+
+
+def test_building_tensors_leaves_no_reference_cycles():
+    # a self-referencing helper would keep every dense array alive until
+    # the cyclic collector runs
+    _supports.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        for flavor, k in CELLS:
+            space = BilinearSpace(flavor, k)
+            all_form_tensors(3, space)
+            all_diagonal_multivectors(3, space)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_contract_support_common_denominator():
+    coeffs = (Fraction(1, 2), Fraction(0), Fraction(-2, 3), 5)
+    assert contract_support(coeffs, ((0, 4), (2, 3), (3, -1))) == Fraction(-5)
+    assert contract_support(coeffs, ((0, Fraction(1, 3)), (2, 1))) == Fraction(-1, 2)
+    assert contract_support(coeffs, ()) == 0
 
 
 def test_invariant_map_rank_fixtures():
