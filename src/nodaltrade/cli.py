@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import __version__, case_study, plane_counts
 from .cohomology import load_model
-from .errors import NodalTradeError, VerificationError
+from .errors import InvalidInputError, NodalTradeError, VerificationError
 from .loop_matrix import (
     PairingVector,
     build_loop_matrix,
@@ -74,6 +74,16 @@ def _table_lines(value, prefix):
 
 def _matrix_json(entries):
     return [[format_rational(x) for x in row] for row in entries]
+
+
+def _load_json(path, option):
+    """Read a JSON input file; undecodable contents are an input error
+    naming the option that gave the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise InvalidInputError(f"{option}: {path} is not valid JSON: {exc}") from exc
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -155,17 +165,22 @@ def _cmd_oracle(args):
 
 def _cmd_trade(args):
     space = _space(args)
-    with open(args.contractions) as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, list):
-        raise NodalTradeError(
-            "contraction data must be a JSON array of rationals, or an array "
+    raw = _load_json(args.contractions, "--contractions")
+    vectors = raw if isinstance(raw, list) and raw and isinstance(raw[0], list) else [raw]
+    if not all(
+        isinstance(vec, list) and not any(isinstance(x, (list, dict)) for x in vec)
+        for vec in vectors
+    ):
+        raise InvalidInputError(
+            "--contractions must be a JSON array of rationals, or an array "
             "of such arrays for batch recovery"
         )
-    vectors = raw if raw and isinstance(raw[0], list) else [raw]
     results = []
     for vec in vectors:
-        data = PairingVector(args.n, tuple(parse_rational(str(x)) for x in vec))
+        try:
+            data = PairingVector(args.n, tuple(parse_rational(str(x)) for x in vec))
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"--contractions: {exc}") from exc
         omega = recover(data, args.n, space, sign=args.sign)
         tensor = omega.tensor
         entry = {
@@ -190,9 +205,12 @@ def _cmd_trade(args):
 
 def _cmd_graphs(args):
     if args.contract:
-        with open(args.contract) as fh:
-            graph = graph_from_json(json.load(fh))
-        return {"contracted": contract_edges(graph).to_json()}
+        raw = _load_json(args.contract, "--contract")
+        try:
+            contracted = contract_edges(graph_from_json(raw))
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"--contract: {exc}") from exc
+        return {"contracted": contracted.to_json()}
     if args.split != "p2-f1-cubic":
         raise NodalTradeError(
             f"unknown split scenario {args.split!r}; bundled: p2-f1-cubic"

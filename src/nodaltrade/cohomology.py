@@ -213,32 +213,21 @@ def ring_from_json(name: str, raw: dict) -> CohRing:
 
 def kunneth_diagonal(ring: CohRing) -> list[tuple[tuple, tuple]]:
     """Pairs (delta_j, delta_j dual) whose sum of tensor products is the
-    diagonal class; the duals satisfy pair(delta_i, dual_j) = kronecker."""
+    diagonal class; the duals satisfy pair(delta_i, dual_j) = kronecker.
+
+    The duals are the columns of the inverse pairing, read off one kernel
+    of [G | -I]: its basis vector with free part e_j is (G^-1 e_j, e_j).
+    """
     size = ring.size
-    duals = []
-    for j in range(size):
-        # solve pairing . u = e_j for u, one column of the inverse
-        rows = [list(row) + [Fraction(1) if i == j else Fraction(0)] for i, row in enumerate(ring.pairing)]
-        u = _solve_square(rows, size)
-        duals.append(tuple(u))
-    return [(ring.basis_vector(j), duals[j]) for j in range(size)]
-
-
-def _solve_square(aug_rows, size):
-    """Solve a nonsingular square system given as augmented rows."""
-    rows = [list(r) for r in aug_rows]
-    for col in range(size):
-        piv = next((r for r in range(col, size) if rows[r][col]), None)
-        if piv is None:
-            raise InvalidModelError("singular pairing in dual-basis solve")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pivot = rows[col][col]
-        rows[col] = [Fraction(x) / pivot for x in rows[col]]
-        for r in range(size):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return [rows[i][size] for i in range(size)]
+    augmented = [
+        list(row) + [-1 if i == j else 0 for j in range(size)]
+        for i, row in enumerate(ring.pairing)
+    ]
+    kernel = linalg.nullspace(augmented)
+    basis = [ring.basis_vector(j) for j in range(size)]
+    if [v[size:] for v in kernel] != basis:
+        raise InvalidModelError("singular pairing in dual-basis solve")
+    return [(basis[j], v[:size]) for j, v in enumerate(kernel)]
 
 
 @dataclass(frozen=True)

@@ -24,16 +24,17 @@ def _integerize(row):
     return ints
 
 
-def _eliminate(rows):
+def _eliminate(rows, width=None):
     """In-place integer row echelon reduction.
 
-    Returns the list of pivot (row, column) positions.  Rows below a pivot
+    Pivots only in the first `width` columns (all of them by default) and
+    returns the list of pivot (row, column) positions.  Rows below a pivot
     are updated by cross-multiplication and re-normalized by their gcd.
     """
     if not rows:
         return []
     n_rows = len(rows)
-    n_cols = len(rows[0])
+    n_cols = len(rows[0]) if width is None else width
     pivots = []
     pr = 0
     for pc in range(n_cols):
@@ -89,16 +90,21 @@ def nullspace(matrix) -> list[tuple[Fraction, ...]]:
         x[free] = Fraction(1)
         # back substitution over the echelon rows, bottom-up
         for pr, pc in reversed(pivots):
-            s = sum((Fraction(rows[pr][c]) * x[c] for c in range(pc + 1, n_cols)),
+            row = rows[pr]
+            s = sum((row[c] * x[c] for c in range(pc + 1, n_cols) if row[c] and x[c]),
                     Fraction(0))
-            x[pc] = -s / rows[pr][pc]
+            x[pc] = -s / row[pc]
         basis.append(tuple(x))
     return basis
 
 
 def left_kernel(matrix) -> list[tuple[Fraction, ...]]:
     """Basis of {c : c A = 0}, found by reducing [A | I] and reading the
-    rows whose A-part vanished."""
+    rows whose A-part vanished.
+
+    Row operations keep the identity block invertible, so no combination
+    read off is zero and the basis has len(matrix) - rank(matrix) vectors.
+    """
     if not matrix:
         return []
     n_rows = len(matrix)
@@ -108,45 +114,8 @@ def left_kernel(matrix) -> list[tuple[Fraction, ...]]:
         tracked = list(r) + [Fraction(0)] * n_rows
         tracked[width + i] = Fraction(1)
         rows.append(_integerize(tracked))
-    _eliminate_width(rows, width)
-    basis = []
-    for r in rows:
-        if any(r[:width]):
-            continue
-        combo = r[width:]
-        if any(combo):
-            basis.append(tuple(Fraction(x) for x in combo))
-    return basis
-
-
-def _eliminate_width(rows, width):
-    """Echelon reduction using only the first `width` columns for pivoting."""
-    n_rows = len(rows)
-    pr = 0
-    for pc in range(width):
-        pivot_row = None
-        for r in range(pr, n_rows):
-            if rows[r][pc]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        p = rows[pr][pc]
-        for r in range(pr + 1, n_rows):
-            q = rows[r][pc]
-            if not q:
-                continue
-            new = [p * a - q * b for a, b in zip(rows[r], rows[pr])]
-            g = 0
-            for x in new:
-                g = gcd(g, x)
-            if g > 1:
-                new = [x // g for x in new]
-            rows[r] = new
-        pr += 1
-        if pr == n_rows:
-            return
+    _eliminate(rows, width)
+    return [tuple(Fraction(x) for x in r[width:]) for r in rows if not any(r[:width])]
 
 
 def mat_vec(matrix, vec):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 from .errors import InconsistentDataError, InvalidInputError, SubspaceError
@@ -27,6 +28,7 @@ from .tensor_oracle import (
     contract_support,
     diagonal_supports,
     form_supports,
+    slot_weights,
 )
 
 
@@ -133,20 +135,15 @@ def _monomial_generators(space: BilinearSpace):
 
 
 def _fixed_by_monomial(t: DenseTensor, mapping) -> bool:
-    dim, order = t.dim, t.order
-    for flat, value in enumerate(t.coeffs):
-        rem = flat
-        idx = [0] * order
-        for i in range(order - 1, -1, -1):
-            idx[i] = rem % dim
-            rem //= dim
+    weight = slot_weights(t.dim, t.order)
+    for value, idx in zip(t.coeffs, product(range(t.dim), repeat=t.order)):
         src = 0
         sign = 1
-        for a in idx:
+        for a, w in zip(idx, weight):
             b, s = mapping[a]
-            src = src * dim + b
+            src += b * w
             sign *= s
-        if Fraction(t.coeffs[src]) * sign != Fraction(value):
+        if t.coeffs[src] * sign != value:
             return False
     return True
 

@@ -15,8 +15,12 @@ from functools import lru_cache
 from importlib import resources
 from math import comb
 
-from .errors import InvalidInputError, InvalidModelError, MissingDataError
+from .errors import InvalidInputError, InvalidModelError, MissingDataError, ResourceLimitError
 from .rationals import parse_rational
+
+# The recursion nests d calls deep, so the ceiling stays well inside the
+# interpreter's recursion limit; d = 100 takes tens of milliseconds cold.
+KONTSEVICH_MAX_D = 100
 
 
 @lru_cache(maxsize=None)
@@ -28,10 +32,15 @@ def kontsevich_nd(d: int) -> int:
       N_d = sum over d1+d2=d, d1,d2>=1 of
             N_d1 N_d2 d1^2 d2 (d2 C(3d-4, 3d1-2) - d1 C(3d-4, 3d1-1))
 
-    Exact with big integers; desk-scale envelope is d <= 10.
+    Exact with big integers, for 1 <= d <= KONTSEVICH_MAX_D; past the
+    ceiling it raises ResourceLimitError.
     """
     if d < 1:
         raise InvalidInputError(f"degree must be >= 1, got {d}")
+    if d > KONTSEVICH_MAX_D:
+        raise ResourceLimitError(
+            f"degree {d} exceeds the plane-count ceiling d <= {KONTSEVICH_MAX_D}"
+        )
     if d == 1:
         return 1
     total = 0

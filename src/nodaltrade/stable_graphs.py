@@ -78,24 +78,6 @@ class StableGraph:
     def interior_legs(self) -> tuple[Leg, ...]:
         return tuple(l for l in self.legs if l.kind == INTERIOR)
 
-    def components(self) -> list[set[int]]:
-        parent = list(range(len(self.vertices)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        groups: dict[int, set[int]] = {}
-        for v in range(len(self.vertices)):
-            groups.setdefault(find(v), set()).add(v)
-        return list(groups.values())
-
     def to_json(self):
         return {
             "vertices": [{"genus": v.genus, "class": list(v.cls)} for v in self.vertices],
@@ -113,17 +95,28 @@ class StableGraph:
 
 
 def graph_from_json(raw: dict) -> StableGraph:
-    vertices = tuple(Vertex(int(v["genus"]), tuple(int(c) for c in v["class"])) for v in raw["vertices"])
-    edges = tuple((int(a), int(b)) for a, b in raw.get("edges", []))
-    legs = tuple(
-        Leg(
-            vertex=int(l["vertex"]),
-            marking=l["marking"],
-            kind=l.get("kind", INTERIOR),
-            multiplicity=l.get("multiplicity"),
+    """Build a graph from its JSON form; any malformed entry raises
+    InvalidInputError."""
+    try:
+        vertices = tuple(
+            Vertex(int(v["genus"]), tuple(int(c) for c in v["class"])) for v in raw["vertices"]
         )
-        for l in raw.get("legs", [])
-    )
+        edges = tuple((int(a), int(b)) for a, b in raw.get("edges", []))
+        legs = tuple(
+            Leg(
+                vertex=int(l["vertex"]),
+                marking=l["marking"],
+                kind=l.get("kind", INTERIOR),
+                multiplicity=l.get("multiplicity"),
+            )
+            for l in raw.get("legs", [])
+        )
+    except InvalidInputError:
+        raise
+    except KeyError as exc:
+        raise InvalidInputError(f"malformed graph: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"malformed graph: {exc}") from exc
     return StableGraph(vertices, edges, legs)
 
 
@@ -144,26 +137,16 @@ def _class_sum(classes):
 def contract_edges(graph: StableGraph) -> StableGraph:
     """Contract every edge: one vertex per component, genus summed plus the
     component's first Betti number, classes summed, legs preserved."""
-    comps = graph.components()
-    index_of = {}
-    new_vertices = []
-    for ci, comp in enumerate(sorted(comps, key=min)):
-        edges_inside = sum(1 for a, b in graph.edges if a in comp)
-        betti = edges_inside - len(comp) + 1
-        genus = sum(graph.vertices[v].genus for v in comp) + betti
-        cls = _class_sum(graph.vertices[v].cls for v in comp)
-        for v in comp:
-            index_of[v] = ci
-        new_vertices.append(Vertex(genus, cls))
-    new_legs = tuple(replace(l, vertex=index_of[l.vertex]) for l in graph.legs)
-    return StableGraph(tuple(new_vertices), (), new_legs)
+    return contract_marked_edges(graph, tuple(range(len(graph.edges))))
 
 
 def contract_marked_edges(graph: StableGraph, marked: tuple[int, ...]) -> StableGraph:
     """Contract only the edges at the given indices, keeping the others.
 
-    Used by the re-gluing check: the newly created gluing edges are
-    contracted while the parent's own edges survive.
+    One vertex per component of the marked edges, genus summed plus the
+    component's first Betti number, classes summed, legs preserved.  The
+    re-gluing check marks only the new gluing edges, so the parent's own
+    edges survive.
     """
     marked_set = set(marked)
     sub_edges = [graph.edges[i] for i in marked_set]
@@ -302,27 +285,16 @@ def _relabel_relative(graph: StableGraph, perm: dict) -> StableGraph:
     return StableGraph(graph.vertices, graph.edges, legs)
 
 
-def _splitting_aut(gamma1: StableGraph, gamma2: StableGraph, ell: int) -> int:
-    count = 0
-    for perm_tuple in itertools.permutations(range(1, ell + 1)):
-        perm = {i + 1: perm_tuple[i] for i in range(ell)}
-        if graph_isomorphic(_relabel_relative(gamma1, perm), gamma1) and graph_isomorphic(
-            _relabel_relative(gamma2, perm), gamma2
+def _relabelings(a, b, ell: int):
+    """Yield each relabeling of the relative legs 1..ell that carries the
+    splitting a = (gamma1, gamma2) onto b, up to graph isomorphism."""
+    labels = range(1, ell + 1)
+    for perm_tuple in itertools.permutations(labels):
+        perm = dict(zip(labels, perm_tuple))
+        if graph_isomorphic(_relabel_relative(a[0], perm), b[0]) and graph_isomorphic(
+            _relabel_relative(a[1], perm), b[1]
         ):
-            count += 1
-    return count
-
-
-def _splittings_equivalent(a, b, ell: int) -> bool:
-    ga1, ga2 = a
-    gb1, gb2 = b
-    for perm_tuple in itertools.permutations(range(1, ell + 1)):
-        perm = {i + 1: perm_tuple[i] for i in range(ell)}
-        if graph_isomorphic(_relabel_relative(ga1, perm), gb1) and graph_isomorphic(
-            _relabel_relative(ga2, perm), gb2
-        ):
-            return True
-    return False
+            yield perm
 
 
 def _push_graph(graph: StableGraph, push) -> StableGraph:
@@ -428,7 +400,7 @@ def enumerate_splittings(
             for bundle in _placement_bundles(parent, opt, rel1, rel2, markings1, markings2, scenario):
                 variants = tuple(bundle)
                 g1, g2 = variants[0]
-                aut = _splitting_aut(g1, g2, ell)
+                aut = sum(1 for _ in _relabelings((g1, g2), (g1, g2), ell))
                 results.append(
                     Splitting(
                         gamma1=g1,
@@ -453,7 +425,7 @@ def _distinct_matchings(opt, slots1, slots2, markings1, markings2, ell):
         rel2 = {i + 1: slots2[perm[i]] for i in range(ell)}
         g1 = _side_graph(opt.side1, markings1, rel1)
         g2 = _side_graph(opt.side2, markings2, rel2)
-        if any(_splittings_equivalent((g1, g2), old, ell) for old, _, _ in seen):
+        if any(next(_relabelings((g1, g2), old, ell), None) is not None for old, _, _ in seen):
             continue
         seen.append(((g1, g2), rel1, rel2))
     return [(rel1, rel2) for _, rel1, rel2 in seen]

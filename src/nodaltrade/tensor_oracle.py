@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm, prod
+from operator import mul
 
 from . import linalg
 from .errors import InvalidInputError, ResourceLimitError
@@ -76,9 +77,9 @@ class DenseTensor:
     """Order-2n tensor as a dense slot-major coefficient array.
 
     Index (a_1, ..., a_2n) with 0-based a_i lives at flat position
-    sum a_i * dim^(2n - i).  The pairing tensors of this module are
-    scattered from their supports (see `pairing_supports`), and
-    contraction reads a dense array only at the positions of a support.
+    sum a_i * dim^(2n - i) (see `slot_weights`).  The pairing tensors of
+    this module are scattered from their supports (see `pairing_supports`),
+    and contraction reads a dense array only at the positions of a support.
     Both supports come from enumerating every index choice that hits a
     nonzero form entry, so the route is still brute force and shares no
     code with the loop matrix.
@@ -101,15 +102,23 @@ class DenseTensor:
     def coefficient(self, index) -> Fraction:
         if len(index) != self.order:
             raise InvalidInputError(f"index must have {self.order} slots")
-        flat = 0
         for a in index:
             if not 0 <= a < self.dim:
                 raise InvalidInputError(f"index entry {a} out of range 0..{self.dim - 1}")
-            flat = flat * self.dim + a
-        return Fraction(self.coeffs[flat])
+        return Fraction(self.coeffs[sum(map(mul, index, slot_weights(self.dim, self.order)))])
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
+
+
+def slot_weights(dim: int, order: int) -> list[int]:
+    """Weight of each slot in the slot-major flat layout.
+
+    Index (a_1, ..., a_order) lives at flat position sum a_i * weight[i - 1],
+    so `itertools.product(range(dim), repeat=order)` yields the indices in
+    flat order.
+    """
+    return [dim ** (order - 1 - slot) for slot in range(order)]
 
 
 def check_brute_force_budget(n: int, dim: int) -> None:
@@ -141,7 +150,7 @@ def pairing_supports(p: Pairing, space: BilinearSpace):
     check_brute_force_budget(p.n, dim)
     form, inverse = space.form, space.inverse_form
     sign = -1 if space.flavor != ORTHOGONAL and crossing_number(p) % 2 else 1
-    weight = [dim ** (order - slot) for slot in range(1, order + 1)]
+    weight = slot_weights(dim, order)
     factors = [
         [
             (a * weight[i - 1] + b * weight[j - 1], form[a][b], inverse[a][b])
@@ -214,19 +223,16 @@ def permute_slots(t: DenseTensor, g) -> DenseTensor:
     if sorted(g) != list(range(1, order + 1)):
         raise InvalidInputError(f"not a bijection on 1..{order}: {g}")
     dim = t.dim
-    coeffs = [0] * dim ** order
     # new[a] = old[a o g]: the old factor at slot j is read off at a_{g(j)}
-    for flat in range(len(coeffs)):
-        rem = flat
-        idx = [0] * order
-        for i in range(order - 1, -1, -1):
-            idx[i] = rem % dim
-            rem //= dim
-        src = 0
-        for j in range(order):
-            src = src * dim + idx[g[j] - 1]
-        coeffs[flat] = t.coeffs[src]
-    return DenseTensor(n=t.n, dim=dim, coeffs=tuple(coeffs))
+    weight = slot_weights(dim, order)
+    src_weight = [0] * order
+    for j in range(order):
+        src_weight[g[j] - 1] = weight[j]
+    coeffs = tuple(
+        t.coeffs[sum(map(mul, idx, src_weight))]
+        for idx in product(range(dim), repeat=order)
+    )
+    return DenseTensor(n=t.n, dim=dim, coeffs=coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -275,12 +281,13 @@ def invariant_map_rank(n: int, space: BilinearSpace):
     Row-reduces the (2n-1)!! x dim^2n coefficient matrix exactly, less
     the columns where every form tensor vanishes: those change neither
     the rank nor the kernel.  The kernel comes back as pairing vectors:
-    the linear combinations of pairings whose tensors cancel.
+    the linear combinations of pairings whose tensors cancel.  One
+    elimination gives both: the rank is (2n-1)!! less the kernel dimension.
     """
     columns = sorted({flat for support in form_supports(n, space) for flat, _ in support})
     rows = [[f.coeffs[flat] for flat in columns] for f in all_form_tensors(n, space)]
     kernel = [PairingVector(n, combo) for combo in linalg.left_kernel(rows)]
-    r = linalg.rank(rows)
+    r = len(rows) - len(kernel)
     expected = sum(
         hook_dimension(lam) for lam in admissible_partitions(n, space.flavor, space.k)
     )

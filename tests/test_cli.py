@@ -5,6 +5,7 @@ import pytest
 
 from nodaltrade.cli import jsonable, main
 from nodaltrade.errors import NodalTradeError
+from nodaltrade.plane_counts import KONTSEVICH_MAX_D, kontsevich_nd
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +106,27 @@ def test_trade_n3_report_is_pinned(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("loopmat", "--n", "3", "--x", "-2", "--eigen"),
+         "0475d0c777be0b58020e9631485cbeaa415a62dde9f8d2c6c4e065d85ccfc881"),
+        (("oracle", "--n", "3", "--flavor", "symplectic", "--k", "2",
+          "--check-loop-matrix", "--rank"),
+         "1c91333b54940e38966eda0fa7f766207f54a2a2322f3990513e12f7a36b0c4c"),
+        (("appendix",),
+         "45463ce75939773c4b0bd195fb0816e71f009d45e59de8a2d85cc7334052129b"),
+    ],
+    ids=["nullspace", "left-kernel", "dual-basis"],
+)
+def test_report_is_pinned(capsys, argv, digest):
+    # sha256 of each report as printed when rank, the kernels and the dual
+    # basis still ran on three separate elimination routines
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_trade_past_brute_force_budget_exits_2(capsys, tmp_path):
     data = tmp_path / "n4.json"
     data.write_text(json.dumps(["0"] * 105))
@@ -115,6 +137,26 @@ def test_trade_past_brute_force_budget_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "brute force limited to n <= 3" in err
+
+
+@pytest.mark.parametrize(
+    "argv, content, fragment",
+    [
+        (("trade", "--n", "2", "--flavor", "orthogonal", "--k", "2", "--contractions"),
+         "[1, 2", "--contractions"),
+        (("trade", "--n", "2", "--flavor", "orthogonal", "--k", "2", "--contractions"),
+         "[[1, 2, 3], 3]", "--contractions"),
+        (("graphs", "--contract"), '{"edges": []}', "--contract"),
+    ],
+    ids=["broken-json", "mixed-batch", "graph-without-vertices"],
+)
+def test_malformed_input_file_exits_2(capsys, tmp_path, argv, content, fragment):
+    f = tmp_path / "input.json"
+    f.write_text(content)
+    code, out, err = run_cli(capsys, *argv, str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {fragment}")
 
 
 def test_graphs_contract(capsys, tmp_path):
@@ -147,6 +189,15 @@ def test_oracle_p2_commands(capsys):
     assert "tangent" in key_report["provenance"]
     pencil = run_json(capsys, "oracle-p2", "--pencil", "4", "5")
     assert pencil["reducible_members"] == 5
+
+
+def test_oracle_p2_degree_ceiling(capsys):
+    report = run_json(capsys, "oracle-p2", "--nd", str(KONTSEVICH_MAX_D))
+    assert report["count"] == str(kontsevich_nd(KONTSEVICH_MAX_D))
+    code, out, err = run_cli(capsys, "oracle-p2", "--nd", str(KONTSEVICH_MAX_D + 1))
+    assert code == 2
+    assert out == ""
+    assert f"degree {KONTSEVICH_MAX_D + 1}" in err
 
 
 def test_oracle_p2_missing_key(capsys):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nodaltrade.cohomology import (
     CohRing,
@@ -18,6 +20,7 @@ from nodaltrade.errors import (
     InvalidModelError,
     UnsupportedCaseError,
 )
+from nodaltrade.linalg import mat_vec, rank
 
 
 def test_bundled_models_load_and_validate():
@@ -26,6 +29,35 @@ def test_bundled_models_load_and_validate():
         assert ring.size >= 1
     with pytest.raises(InvalidInputError):
         load_model("p3")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda size: st.lists(
+            st.lists(
+                st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                min_size=size,
+                max_size=size,
+            ),
+            min_size=size,
+            max_size=size,
+        )
+    )
+)
+def test_duals_invert_a_random_pairing(pairing):
+    # with every basis degree 0, any nonsingular matrix is an admissible pairing
+    assume(rank(pairing) == len(pairing))
+    size = len(pairing)
+    ring = CohRing(
+        name="random",
+        labels=tuple(f"b{i}" for i in range(size)),
+        degrees=(0,) * size,
+        pairing=tuple(tuple(row) for row in pairing),
+    )
+    for j, (delta, dual) in enumerate(kunneth_diagonal(ring)):
+        assert delta == ring.basis_vector(j)
+        assert mat_vec(ring.pairing, dual) == ring.basis_vector(j)
 
 
 def test_duality_kronecker_everywhere():

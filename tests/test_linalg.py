@@ -1,6 +1,15 @@
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from nodaltrade.linalg import left_kernel, mat_vec, nullspace, rank
+
+# entries from a small set, so rank-deficient matrices come up often
+ENTRY = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+MATRICES = st.integers(1, 4).flatmap(
+    lambda cols: st.lists(st.lists(ENTRY, min_size=cols, max_size=cols), min_size=1, max_size=4)
+)
 
 
 def test_rank_simple():
@@ -48,3 +57,23 @@ def test_fractional_entries_are_exact():
     basis = nullspace(m)
     assert len(basis) == 1
     assert all(x == 0 for x in mat_vec(m, basis[0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(MATRICES)
+def test_rank_nullity_and_right_kernel(m):
+    basis = nullspace(m)
+    assert rank(m) + len(basis) == len(m[0])
+    for v in basis:
+        assert all(x == 0 for x in mat_vec(m, v))
+
+
+@settings(max_examples=150, deadline=None)
+@given(MATRICES)
+def test_rank_nullity_and_left_kernel(m):
+    basis = left_kernel(m)
+    assert rank(m) + len(basis) == len(m)
+    for c in basis:
+        assert any(c)
+        for col in range(len(m[0])):
+            assert sum(ci * m[i][col] for i, ci in enumerate(c)) == 0
