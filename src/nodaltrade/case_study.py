@@ -32,7 +32,6 @@ from .loop_matrix import PairingVector
 from .node_trade import recover
 from .plane_counts import (
     OracleTable,
-    bundled_table,
     kontsevich_nd,
     lookup_with_provenance,
     pencil_reducible_count,
@@ -193,7 +192,7 @@ def _describe_key(key) -> str:
     return f"{surface}|{cls}|pts={pts}|contacts[{contact_text}]{joined}"
 
 
-def _base_count_table(table: OracleTable) -> dict:
+def _base_count_table(table: OracleTable | None) -> dict:
     """Canonical-key base counts for the bundled scenario.
 
     Nonzero entries come from the bundled table or the pencil counts; the
@@ -302,7 +301,7 @@ def _base_count_table(table: OracleTable) -> dict:
     return entries
 
 
-def _make_rel_oracle(table: OracleTable, recorder: list):
+def _make_rel_oracle(table: OracleTable | None, recorder: list):
     rings = {1: load_model("f1"), 2: load_model("p2")}
     base = _base_count_table(table)
 
@@ -425,22 +424,17 @@ def compute_lhs(num_points: int = 8, table: OracleTable | None = None) -> Fracti
     return compute_lhs_with_breakdown(num_points, table)[0]
 
 
-def compute_contribution(case_id: str, table: OracleTable | None = None):
-    """One degeneration contribution with its factor breakdown."""
-    if case_id not in CASE_IDS:
-        raise InvalidInputError(f"case id must be one of {CASE_IDS}, got {case_id!r}")
-    s = enumerate_cases()[case_id]
-    recorder: list = []
-    oracle = _make_rel_oracle(table if table is not None else bundled_table(), recorder)
-    ring_d = load_model("p1")
-    scenario = cubic_scenario()
+def _contribution(case_id: str, s: Splitting, oracle, recorder: list):
+    """Assemble one splitting; its breakdown takes the oracle calls it adds."""
+    start = len(recorder)
     legs = sorted(l.marking for l in parent_graph().legs)
+    leg_side = cubic_scenario().leg_side
     value = degeneration_rhs(
         [s],
         oracle,
-        ring_d,
+        load_model("p1"),
         leg_degrees=tuple(4 for _ in legs),
-        leg_sides=tuple(scenario.leg_side[m] for m in legs),
+        leg_sides=tuple(leg_side[m] for m in legs),
     )
     breakdown = {
         "case": case_id,
@@ -449,10 +443,19 @@ def compute_contribution(case_id: str, table: OracleTable | None = None):
         "aut": s.aut,
         "matched_legs": s.ell,
         "variants": len(s.variants),
-        "oracle_calls": recorder,
+        "oracle_calls": recorder[start:],
         "value": value,
     }
     return value, breakdown
+
+
+def compute_contribution(case_id: str, table: OracleTable | None = None):
+    """One degeneration contribution with its factor breakdown."""
+    if case_id not in CASE_IDS:
+        raise InvalidInputError(f"case id must be one of {CASE_IDS}, got {case_id!r}")
+    recorder: list = []
+    oracle = _make_rel_oracle(table, recorder)
+    return _contribution(case_id, enumerate_cases()[case_id], oracle, recorder)
 
 
 @dataclass(frozen=True)
@@ -476,12 +479,12 @@ class CaseReport:
 def compute_rhs_total(table: OracleTable | None = None, strict: bool = False) -> CaseReport:
     """Assemble all eight contributions and compare against the direct route."""
     lhs, lhs_breakdown = compute_lhs_with_breakdown(table=table)
+    recorder: list = []
+    oracle = _make_rel_oracle(table, recorder)
     contributions = {}
     breakdowns = {}
-    for cid in CASE_IDS:
-        value, breakdown = compute_contribution(cid, table)
-        contributions[cid] = value
-        breakdowns[cid] = breakdown
+    for cid, s in enumerate_cases().items():
+        contributions[cid], breakdowns[cid] = _contribution(cid, s, oracle, recorder)
     rhs = sum(contributions.values(), Fraction(0))
     report = CaseReport(
         lhs=lhs,

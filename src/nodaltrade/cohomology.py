@@ -11,19 +11,31 @@ them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from types import MappingProxyType
 
 from . import linalg
 from .errors import InvalidInputError, InvalidModelError, UnsupportedCaseError
 from .rationals import format_rational, parse_rational
 
 
+def _join_terms(terms) -> str:
+    """Join signed terms as 'a+b-c'; an empty sum is '0'."""
+    if not terms:
+        return "0"
+    return terms[0] + "".join(t if t.startswith("-") else "+" + t for t in terms[1:])
+
+
 @dataclass(frozen=True)
 class CohRing:
-    """A finite model of a cohomology ring with Poincare pairing."""
+    """A finite model of a cohomology ring with Poincare pairing.
+
+    The dual basis is fixed at construction: `duals[j]` is the class with
+    pair(delta_i, duals[j]) = kronecker(i, j).
+    """
 
     name: str
     labels: tuple[str, ...]
@@ -31,14 +43,27 @@ class CohRing:
     pairing: tuple[tuple[Fraction, ...], ...]
     curve_labels: tuple[str, ...] | None = None
     intersection_matrix: tuple[tuple[Fraction, ...], ...] | None = None
-    divisor_lattice: dict | None = None  # basis label -> curve-lattice vector
+    divisor_lattice: MappingProxyType | None = None  # basis label -> curve-lattice vector
+    duals: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         size = len(self.labels)
         if len(self.degrees) != size or len(self.pairing) != size:
             raise InvalidModelError(f"model {self.name}: inconsistent basis data")
-        if linalg.rank([list(row) for row in self.pairing]) != size:
+        # one kernel of [G | -I] both proves G nonsingular and inverts it: its
+        # basis vector with free part e_j is (G^-1 e_j, e_j)
+        augmented = [
+            list(row) + [-1 if i == j else 0 for j in range(size)]
+            for i, row in enumerate(self.pairing)
+        ]
+        kernel = linalg.nullspace(augmented)
+        if [v[size:] for v in kernel] != [self.basis_vector(j) for j in range(size)]:
             raise InvalidModelError(f"model {self.name}: pairing is singular")
+        object.__setattr__(self, "duals", tuple(v[:size] for v in kernel))
+        if self.divisor_lattice is not None:
+            object.__setattr__(
+                self, "divisor_lattice", MappingProxyType(dict(self.divisor_lattice))
+            )
         top = self.top_degree
         for i in range(size):
             for j in range(size):
@@ -93,12 +118,7 @@ class CohRing:
                 terms.append(f"-{self.labels[i]}")
             else:
                 terms.append(f"{format_rational(c)}*{self.labels[i]}")
-        if not terms:
-            return "0"
-        joined = terms[0]
-        for t in terms[1:]:
-            joined += t if t.startswith("-") else "+" + t
-        return joined
+        return _join_terms(terms)
 
     def pair(self, u, v) -> Fraction:
         u = self.class_coords(u)
@@ -119,17 +139,9 @@ class CohRing:
         return len(self.curve_labels)
 
     def curve_label(self, curve) -> str:
-        parts = []
-        for c, lab in zip(curve, self.curve_labels):
-            if not c:
-                continue
-            parts.append(lab if c == 1 else f"{c}{lab}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for t in parts[1:]:
-            out += t if t.startswith("-") else "+" + t
-        return out
+        return _join_terms(
+            [lab if c == 1 else f"{c}{lab}" for c, lab in zip(curve, self.curve_labels) if c]
+        )
 
     def divisor_to_lattice(self, divisor) -> tuple[Fraction, ...]:
         """Express a degree-2 class in curve-lattice coordinates."""
@@ -172,8 +184,10 @@ def _bundled_models() -> dict:
         return json.load(fh)
 
 
+@lru_cache(maxsize=None)
 def load_model(name: str) -> CohRing:
-    """Load one of the bundled ring models by name."""
+    """The bundled ring model of that name, parsed and validated once and
+    shared by every caller."""
     raw = _bundled_models().get(name)
     if raw is None:
         raise InvalidInputError(
@@ -213,21 +227,8 @@ def ring_from_json(name: str, raw: dict) -> CohRing:
 
 def kunneth_diagonal(ring: CohRing) -> list[tuple[tuple, tuple]]:
     """Pairs (delta_j, delta_j dual) whose sum of tensor products is the
-    diagonal class; the duals satisfy pair(delta_i, dual_j) = kronecker.
-
-    The duals are the columns of the inverse pairing, read off one kernel
-    of [G | -I]: its basis vector with free part e_j is (G^-1 e_j, e_j).
-    """
-    size = ring.size
-    augmented = [
-        list(row) + [-1 if i == j else 0 for j in range(size)]
-        for i, row in enumerate(ring.pairing)
-    ]
-    kernel = linalg.nullspace(augmented)
-    basis = [ring.basis_vector(j) for j in range(size)]
-    if [v[size:] for v in kernel] != basis:
-        raise InvalidModelError("singular pairing in dual-basis solve")
-    return [(basis[j], v[:size]) for j, v in enumerate(kernel)]
+    diagonal class; the duals satisfy pair(delta_i, dual_j) = kronecker."""
+    return [(ring.basis_vector(j), dual) for j, dual in enumerate(ring.duals)]
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,14 @@ from .errors import InvalidInputError, ResourceLimitError
 
 DEFAULT_MAX_N = 5
 _ENV_MAX_N = "NODAL_TRADE_MAX_N"
+_warned_ceilings: set[int] = set()
 
 
 def max_pairing_size() -> int:
-    """Desk-scale ceiling on n, overridable via NODAL_TRADE_MAX_N."""
+    """Desk-scale ceiling on n, overridable via NODAL_TRADE_MAX_N.
+
+    The variable is read on every call; a raised ceiling is warned about
+    once per distinct value per process."""
     raw = os.environ.get(_ENV_MAX_N)
     if raw is None:
         return DEFAULT_MAX_N
@@ -27,9 +31,10 @@ def max_pairing_size() -> int:
         value = int(raw)
     except ValueError as exc:
         raise InvalidInputError(f"{_ENV_MAX_N} must be an integer, got {raw!r}") from exc
-    if value > DEFAULT_MAX_N:
+    if value > DEFAULT_MAX_N and value not in _warned_ceilings:
         import sys
 
+        _warned_ceilings.add(value)
         print(
             f"warning: {_ENV_MAX_N}={value} raises the desk-scale ceiling "
             f"(default {DEFAULT_MAX_N}); expect large exact computations",

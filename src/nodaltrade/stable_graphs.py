@@ -20,6 +20,7 @@ from .cohomology import kunneth_diagonal, kunneth_reorder_sign
 
 INTERIOR = "interior"
 RELATIVE = "relative"
+SHAPE_BOUND = 2  # most vertices a split option may put on one side
 
 
 @dataclass(frozen=True)
@@ -361,7 +362,6 @@ def _edge_placements(n_vertices: int):
 def enumerate_splittings(
     parent: StableGraph,
     scenario: DegenerationScenario,
-    shape_bound: int = 2,
 ) -> list[Splitting]:
     """All splitting cases of a one-vertex parent, verified by re-gluing.
 
@@ -380,9 +380,9 @@ def enumerate_splittings(
 
     results: list[Splitting] = []
     for opt in scenario.options(parent_class):
-        if len(opt.side1) > shape_bound or len(opt.side2) > shape_bound:
+        if len(opt.side1) > SHAPE_BOUND or len(opt.side2) > SHAPE_BOUND:
             raise ResourceLimitError(
-                f"split option exceeds shape bound {shape_bound}: {opt}"
+                f"split option exceeds shape bound {SHAPE_BOUND}: {opt}"
             )
         slots1 = _contact_slots(opt.side1)
         slots2 = _contact_slots(opt.side2)
@@ -432,27 +432,18 @@ def _distinct_matchings(opt, slots1, slots2, markings1, markings2, ell):
 
 
 def _placement_bundles(parent, opt, rel1, rel2, markings1, markings2, scenario):
-    """Group valid parent-edge placements by (side, kind) into bundles."""
-    parent_edges = parent.edges
-    per_edge_choices = []
-    for _ in parent_edges:
-        choices = [(1, kind, where) for kind, where in _edge_placements(len(opt.side1))]
-        choices += [(2, kind, where) for kind, where in _edge_placements(len(opt.side2))]
-        per_edge_choices.append(choices)
+    """Group valid parent-edge placements by (side, kind) into bundles.
 
-    def build(assignment):
-        extra1 = []
-        extra2 = []
-        for side, kind, where in assignment:
-            edge = (where[0], where[0]) if kind == "loop" else (where[0], where[1])
-            (extra1 if side == 1 else extra2).append(edge)
-        g1 = _side_graph(opt.side1, markings1, rel1, tuple(extra1))
-        g2 = _side_graph(opt.side2, markings2, rel2, tuple(extra2))
-        return g1, g2
-
+    A parent without edges has one, empty, placement."""
+    choices = [(1, kind, where) for kind, where in _edge_placements(len(opt.side1))]
+    choices += [(2, kind, where) for kind, where in _edge_placements(len(opt.side2))]
     bundles: dict[tuple, list] = {}
-    for assignment in itertools.product(*per_edge_choices):
-        g1, g2 = build(assignment)
+    for assignment in itertools.product(choices, repeat=len(parent.edges)):
+        extra = {1: [], 2: []}
+        for side, kind, where in assignment:
+            extra[side].append((where[0], where[0]) if kind == "loop" else where)
+        g1 = _side_graph(opt.side1, markings1, rel1, tuple(extra[1]))
+        g2 = _side_graph(opt.side2, markings2, rel2, tuple(extra[2]))
         if not (g1.is_stable() and g2.is_stable()):
             continue
         reglued = _reglue(g1, g2, scenario)
@@ -460,12 +451,6 @@ def _placement_bundles(parent, opt, rel1, rel2, markings1, markings2, scenario):
             continue
         key = tuple((side, kind) for side, kind, _ in assignment)
         bundles.setdefault(key, []).append((g1, g2))
-    if not parent_edges:
-        # no edges to place: a single empty-assignment bundle
-        g1, g2 = build(())
-        if g1.is_stable() and g2.is_stable() and graph_isomorphic(_reglue(g1, g2, scenario), parent):
-            return [[(g1, g2)]]
-        return []
     return list(bundles.values())
 
 

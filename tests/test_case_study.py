@@ -183,3 +183,33 @@ def test_elliptic_demo_reports():
 
     skew = elliptic_demo(2, 3, 5, 7)
     assert skew["pairing_coefficient"] == 2 * 7 - 5 * 3
+
+
+def test_report_breakdowns_equal_single_contributions():
+    # the report slices one shared recorder per case; each slice must hold
+    # exactly the oracle calls a standalone contribution records
+    modified = bundled_table().with_entry(
+        "p2.conic.4pts.tangentL", 3, "perturbed for fault injection"
+    )
+    for table in (bundled_table(), modified):
+        report = compute_rhs_total(table=table)
+        for cid in CASE_IDS:
+            value, breakdown = compute_contribution(cid, table)
+            assert report.breakdowns[cid] == breakdown
+            assert report.contributions[cid] == value
+
+
+def test_report_enumerates_once_and_builds_one_oracle(monkeypatch):
+    from nodaltrade import case_study
+
+    calls = {"enumerate_splittings": 0, "_make_rel_oracle": 0}
+    for name in calls:
+        original = getattr(case_study, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(case_study, name, counted)
+    assert compute_rhs_total().agreement
+    assert calls == {"enumerate_splittings": 1, "_make_rel_oracle": 1}

@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,47 @@ def test_bundled_models_load_and_validate():
         assert ring.size >= 1
     with pytest.raises(InvalidInputError):
         load_model("p3")
+
+
+def test_bundled_models_are_shared_and_read_only():
+    for name in ("p2", "f1", "p1", "elliptic", "point"):
+        assert load_model(name) is load_model(name)
+    f1 = load_model("f1")
+    lattice = dict(f1.divisor_lattice)
+    with pytest.raises(TypeError):
+        f1.divisor_lattice["D0"] = (Fraction(9), Fraction(9))
+    with pytest.raises(FrozenInstanceError):
+        f1.divisor_lattice = {}
+    assert dict(load_model("f1").divisor_lattice) == lattice
+
+
+def test_duals_are_computed_once_at_construction(monkeypatch):
+    from nodaltrade import linalg
+
+    calls = []
+    original = linalg.nullspace
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return original(matrix)
+
+    monkeypatch.setattr(linalg, "nullspace", counted)
+    ring = CohRing(
+        name="p1-copy",
+        labels=("1", "pt"),
+        degrees=(0, 2),
+        pairing=((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))),
+    )
+    assert calls == [2]
+    parent = InsertionList(genus=1, curve_class=(1,), insertions=(), nodes=1)
+    for _ in range(3):
+        kunneth_diagonal(ring)
+        split_node(parent, ring)
+    assert calls == [2]
+    assert [dual for _, dual in kunneth_diagonal(ring)] == [
+        ring.basis_vector(1),
+        ring.basis_vector(0),
+    ]
 
 
 @settings(max_examples=60, deadline=None)

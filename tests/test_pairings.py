@@ -78,6 +78,24 @@ def test_ceiling_override(monkeypatch, capsys):
     assert "warning" in capsys.readouterr().err
 
 
+def test_ceiling_warning_once_per_value(monkeypatch, capsys):
+    from nodaltrade import pairings
+
+    monkeypatch.setattr(pairings, "_warned_ceilings", set())
+    monkeypatch.setenv("NODAL_TRADE_MAX_N", "6")
+    enumerate_pairings(2)
+    enumerate_pairings(3)
+    assert capsys.readouterr().err.count("warning") == 1
+    # a different raised value warns once more; the default never warns
+    monkeypatch.setenv("NODAL_TRADE_MAX_N", "7")
+    enumerate_pairings(2)
+    enumerate_pairings(2)
+    assert capsys.readouterr().err.count("warning") == 1
+    monkeypatch.delenv("NODAL_TRADE_MAX_N")
+    enumerate_pairings(2)
+    assert capsys.readouterr().err == ""
+
+
 def test_crossing_fixtures():
     assert crossing_number(P1) == 4
     assert crossing_number(P2) == 1

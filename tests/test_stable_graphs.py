@@ -183,7 +183,7 @@ def test_shape_bound_enforced():
         leg_side={},
     )
     with pytest.raises(ResourceLimitError):
-        enumerate_splittings(one_vertex(0, (4,)), scenario, shape_bound=2)
+        enumerate_splittings(one_vertex(0, (4,)), scenario)
 
 
 def test_contact_mismatch_rejected():
