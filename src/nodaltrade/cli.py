@@ -187,12 +187,10 @@ def _cmd_trade(args):
             "coordinates": omega.coordinates.to_json(),
             "tensor": {"dim": tensor.dim, "order": tensor.order},
         }
-        if len(tensor.coeffs) <= DENSE_COEFF_LIMIT:
+        if tensor.dim ** tensor.order <= DENSE_COEFF_LIMIT:
             entry["tensor"]["coeffs"] = [format_rational(c) for c in tensor.coeffs]
         else:
-            entry["tensor"]["nonzero"] = {
-                str(i): format_rational(c) for i, c in enumerate(tensor.coeffs) if c
-            }
+            entry["tensor"]["nonzero"] = {str(i): format_rational(c) for i, c in tensor.support}
         results.append(entry)
     return {
         "n": args.n,

@@ -50,6 +50,10 @@ class CohRing:
         size = len(self.labels)
         if len(self.degrees) != size or len(self.pairing) != size:
             raise InvalidModelError(f"model {self.name}: inconsistent basis data")
+        if any(len(row) != size for row in self.pairing):
+            raise InvalidModelError(
+                f"model {self.name}: pairing must be {size} x {size}, one entry per basis label"
+            )
         # one kernel of [G | -I] both proves G nonsingular and inverts it: its
         # basis vector with free part e_j is (G^-1 e_j, e_j)
         augmented = [
@@ -245,12 +249,6 @@ class InsertionList:
     curve_class: tuple
     insertions: tuple[Insertion, ...]
     nodes: int = 0
-
-    def describe(self, ring: CohRing) -> str:
-        ins = " ".join(
-            f"t{i.psi}({ring.label_of(i.coords)})" for i in self.insertions
-        )
-        return f"<{ins}>_g{self.genus},b={self.curve_class},nodes={self.nodes}"
 
 
 def make_insertions(ring: CohRing, classes, psis=None) -> tuple[Insertion, ...]:

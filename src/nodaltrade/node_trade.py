@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import lcm
 
 from .errors import InconsistentDataError, InvalidInputError, SubspaceError
@@ -23,7 +22,8 @@ from .loop_matrix import (
 )
 from .tensor_oracle import (
     BilinearSpace,
-    DenseTensor,
+    SupportMap,
+    Tensor,
     check_brute_force_budget,
     contract_support,
     diagonal_supports,
@@ -59,7 +59,7 @@ class InvariantTensor:
 
     n: int
     space: BilinearSpace
-    tensor: DenseTensor
+    tensor: Tensor
     coordinates: PairingVector
 
     @staticmethod
@@ -78,15 +78,16 @@ class InvariantTensor:
             scale = c.numerator * (den // c.denominator)
             for flat, value in support:
                 acc[flat] = acc.get(flat, 0) + scale * value
-        # equal totals share one Fraction; zero totals get the zero entry
-        values = {0: Fraction(0)}
-        coeffs = [values[0]] * space.dim ** (2 * n)
-        for flat, total in acc.items():
-            value = values.get(total)
-            if value is None:
-                value = values[total] = Fraction(total, den)
-            coeffs[flat] = value
-        tensor = DenseTensor(n=n, dim=space.dim, coeffs=tuple(coeffs))
+        # the sorted nonzero totals, one shared value per total (an int if den is 1)
+        values, support = {}, []
+        for flat in sorted(acc):
+            total = acc[flat]
+            if total:
+                value = values.get(total)
+                if value is None:
+                    value = values[total] = Fraction(total, den) if den > 1 else total
+                support.append((flat, value))
+        tensor = Tensor(n, space.dim, tuple(support))
         return InvariantTensor(n=n, space=space, tensor=tensor, coordinates=coords)
 
     @staticmethod
@@ -94,7 +95,7 @@ class InvariantTensor:
         return InvariantTensor.from_coordinates(n, space, PairingVector.zero(n))
 
 
-def spot_check_invariance(tensor: DenseTensor, space: BilinearSpace) -> bool:
+def spot_check_invariance(tensor: Tensor, space: BilinearSpace) -> bool:
     """Check invariance under a finite generating set of form symmetries.
 
     Uses monomial symmetries only (basis permutations and sign flips that
@@ -134,23 +135,26 @@ def _monomial_generators(space: BilinearSpace):
     return gens
 
 
-def _fixed_by_monomial(t: DenseTensor, mapping) -> bool:
+def _fixed_by_monomial(t: Tensor, mapping) -> bool:
+    # the signed basis map permutes the flats, so it fixes t exactly when it
+    # carries each support entry onto a support entry of the same value
+    coeffs = SupportMap(t.support)
     weight = slot_weights(t.dim, t.order)
-    for value, idx in zip(t.coeffs, product(range(t.dim), repeat=t.order)):
+    for flat, value in t.support:
         src = 0
         sign = 1
-        for a, w in zip(idx, weight):
-            b, s = mapping[a]
+        for w in weight:
+            b, s = mapping[flat // w % t.dim]
             src += b * w
             sign *= s
-        if t.coeffs[src] * sign != value:
+        if coeffs[src] * sign != value:
             return False
     return True
 
 
 def contract_with_all_diagonals(omega: InvariantTensor) -> PairingVector:
     """Vector of contractions of the tensor against every diagonal multivector."""
-    coeffs = omega.tensor.coeffs
+    coeffs = SupportMap(omega.tensor.support)
     return PairingVector(
         omega.n,
         tuple(contract_support(coeffs, d) for d in diagonal_supports(omega.n, omega.space)),

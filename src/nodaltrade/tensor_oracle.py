@@ -2,8 +2,8 @@
 
 Builds the covariant pairing tensors and the contravariant diagonal
 multivectors as supports (their nonzero entries, enumerated directly),
-scatters them into dense coefficient arrays, and contracts a dense array
-against a support.
+stores every tensor as its support, and contracts one support against
+another.
 The central assertion of the module is that the matrix of contractions
 reproduces the loop matrix at x = k (orthogonal) or x = -2k (symplectic);
 tests and the CLI perform that comparison entrywise, keeping the two
@@ -17,14 +17,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm, prod
-from operator import mul
+from operator import itemgetter, lt, mul
 
 from . import linalg
-from .errors import InvalidInputError, ResourceLimitError
-from .loop_matrix import ORTHOGONAL, PairingVector, check_flavor, flavor_dimension
-from .pairings import Pairing, crossing_number, enumerate_pairings
+from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
+from .loop_matrix import ORTHOGONAL, PairingVector, admissible_partitions, flavor_dimension
+from .pairings import Pairing, check_permutation, crossing_number, enumerate_pairings
 from .partitions import hook_dimension
-from .loop_matrix import admissible_partitions
 
 BRUTE_FORCE_MAX_N = 3
 BRUTE_FORCE_MAX_DIM = 6
@@ -43,9 +42,7 @@ class BilinearSpace:
     k: int
 
     def __post_init__(self):
-        check_flavor(self.flavor)
-        if self.k < 1:
-            raise InvalidInputError(f"k must be >= 1, got {self.k}")
+        flavor_dimension(self.flavor, self.k)
 
     @property
     def dim(self) -> int:
@@ -73,31 +70,39 @@ class BilinearSpace:
 
 
 @dataclass(frozen=True)
-class DenseTensor:
-    """Order-2n tensor as a dense slot-major coefficient array.
+class Tensor:
+    """Order-2n tensor stored as its support.
 
-    Index (a_1, ..., a_2n) with 0-based a_i lives at flat position
+    The support is the tuple of (flat, value) pairs of the nonzero
+    coefficients, strictly increasing in flat position; index
+    (a_1, ..., a_2n) with 0-based a_i lives at flat position
     sum a_i * dim^(2n - i) (see `slot_weights`).  The pairing tensors of
-    this module are scattered from their supports (see `pairing_supports`),
-    and contraction reads a dense array only at the positions of a support.
-    Both supports come from enumerating every index choice that hits a
-    nonzero form entry, so the route is still brute force and shares no
-    code with the loop matrix.
+    this module come from enumerating every index choice that hits a
+    nonzero form entry (see `pairing_supports`), so the route is still
+    brute force and shares no code with the loop matrix.
     """
 
     n: int
     dim: int
-    coeffs: tuple
+    support: tuple
 
     @property
     def order(self) -> int:
         return 2 * self.n
 
     def __post_init__(self):
-        if len(self.coeffs) != self.dim ** (2 * self.n):
-            raise InvalidInputError(
-                f"need {self.dim ** (2 * self.n)} coefficients, got {len(self.coeffs)}"
-            )
+        size = self.dim ** self.order
+        flats = [*map(itemgetter(0), self.support), size]
+        if flats[0] < 0 or not all(map(lt, flats, flats[1:])):
+            raise InvalidInputError(f"support flats must strictly increase within 0..{size - 1}")
+        if not all(map(itemgetter(1), self.support)):
+            raise InvalidInputError("support holds a zero value")
+
+    @property
+    def coeffs(self) -> tuple:
+        """Every coefficient in flat order: the dense view, built on each access."""
+        coefficient = SupportMap(self.support)
+        return tuple(coefficient[flat] for flat in range(self.dim ** self.order))
 
     def coefficient(self, index) -> Fraction:
         if len(index) != self.order:
@@ -105,10 +110,11 @@ class DenseTensor:
         for a in index:
             if not 0 <= a < self.dim:
                 raise InvalidInputError(f"index entry {a} out of range 0..{self.dim - 1}")
-        return Fraction(self.coeffs[sum(map(mul, index, slot_weights(self.dim, self.order)))])
+        flat = sum(map(mul, index, slot_weights(self.dim, self.order)))
+        return Fraction(SupportMap(self.support)[flat])
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.support
 
 
 def slot_weights(dim: int, order: int) -> list[int]:
@@ -174,28 +180,29 @@ def pairing_supports(p: Pairing, space: BilinearSpace):
     return tuple(forms), tuple(diags)
 
 
-def _scatter(n: int, dim: int, support) -> DenseTensor:
-    coeffs = [0] * dim ** (2 * n)
-    for flat, value in support:
-        coeffs[flat] = value
-    return DenseTensor(n=n, dim=dim, coeffs=tuple(coeffs))
-
-
-def form_tensor(p: Pairing, space: BilinearSpace) -> DenseTensor:
+def form_tensor(p: Pairing, space: BilinearSpace) -> Tensor:
     """The covariant tensor: product of the form over the pairs of p."""
-    return _scatter(p.n, space.dim, pairing_supports(p, space)[0])
+    return Tensor(p.n, space.dim, pairing_supports(p, space)[0])
 
 
-def diagonal_multivector(p: Pairing, space: BilinearSpace) -> DenseTensor:
+def diagonal_multivector(p: Pairing, space: BilinearSpace) -> Tensor:
     """The contravariant tensor: product of inverse-form bivectors."""
-    return _scatter(p.n, space.dim, pairing_supports(p, space)[1])
+    return Tensor(p.n, space.dim, pairing_supports(p, space)[1])
+
+
+class SupportMap(dict):
+    """flat -> value over a support, reading 0 at every other flat."""
+
+    def __missing__(self, flat):
+        return 0
 
 
 def contract_support(coeffs, support) -> Fraction:
     """Sum of coeffs[flat] * value over the (flat, value) pairs of a support.
 
-    Reads only the listed entries and adds integer numerators over their
-    common denominator, so the only Fraction built is the result.
+    `coeffs` is a `SupportMap`, built once per tensor, or a sequence indexed
+    by flat.  Reads only the listed entries and adds integer numerators over
+    their common denominator, so the only Fraction built is the result.
     """
     read = [(coeffs[flat], value) for flat, value in support]
     den = lcm(*{c.denominator * v.denominator for c, v in read})
@@ -208,31 +215,25 @@ def contract_support(coeffs, support) -> Fraction:
     )
 
 
-def contract(form: DenseTensor, vec: DenseTensor) -> Fraction:
+def contract(form: Tensor, vec: Tensor) -> Fraction:
     """Full slot-by-slot pairing of a covariant and a contravariant tensor."""
     if form.n != vec.n or form.dim != vec.dim:
         raise InvalidInputError(
             f"shape mismatch: ({form.n}, {form.dim}) vs ({vec.n}, {vec.dim})"
         )
-    return contract_support(form.coeffs, [(flat, c) for flat, c in enumerate(vec.coeffs) if c])
+    return contract_support(SupportMap(form.support), vec.support)
 
 
-def permute_slots(t: DenseTensor, g) -> DenseTensor:
+def permute_slots(t: Tensor, g) -> Tensor:
     """Move the factor in slot i to slot g(i); g is a 1-based image tuple."""
-    order = t.order
-    if sorted(g) != list(range(1, order + 1)):
-        raise InvalidInputError(f"not a bijection on 1..{order}: {g}")
-    dim = t.dim
-    # new[a] = old[a o g]: the old factor at slot j is read off at a_{g(j)}
-    weight = slot_weights(dim, order)
-    src_weight = [0] * order
-    for j in range(order):
-        src_weight[g[j] - 1] = weight[j]
-    coeffs = tuple(
-        t.coeffs[sum(map(mul, idx, src_weight))]
-        for idx in product(range(dim), repeat=order)
+    g = check_permutation(g, t.order)
+    # new[a] = old[a o g]: the old index digit at slot j lands in slot g(j)
+    weight = slot_weights(t.dim, t.order)
+    moved = sorted(
+        (sum((flat // w) % t.dim * weight[i - 1] for w, i in zip(weight, g)), value)
+        for flat, value in t.support
     )
-    return DenseTensor(n=t.n, dim=dim, coeffs=coeffs)
+    return Tensor(t.n, t.dim, tuple(moved))
 
 
 @lru_cache(maxsize=None)
@@ -254,24 +255,24 @@ def diagonal_supports(n: int, space: BilinearSpace):
 
 
 def all_form_tensors(n: int, space: BilinearSpace):
-    return tuple(_scatter(n, space.dim, s) for s in form_supports(n, space))
+    return tuple(Tensor(n, space.dim, s) for s in form_supports(n, space))
 
 
 def all_diagonal_multivectors(n: int, space: BilinearSpace):
-    return tuple(_scatter(n, space.dim, s) for s in diagonal_supports(n, space))
+    return tuple(Tensor(n, space.dim, s) for s in diagonal_supports(n, space))
 
 
 def diagonal_insertion_matrix(n: int, space: BilinearSpace):
     """Entry (P, P'): contraction of the P form tensor with the P' diagonal.
 
-    Brute force: each dense form tensor is read at every nonzero position
-    of each diagonal.  Never consults the loop matrix, so comparing the
-    two is a genuine dual-route check.
+    Brute force: each form tensor is read at every nonzero position of
+    each diagonal.  Never consults the loop matrix, so comparing the two
+    is a genuine dual-route check.
     """
-    forms = all_form_tensors(n, space)
     diags = diagonal_supports(n, space)
     return tuple(
-        tuple(contract_support(f.coeffs, d) for d in diags) for f in forms
+        tuple(contract_support(form, d) for d in diags)
+        for form in map(SupportMap, form_supports(n, space))
     )
 
 
@@ -284,16 +285,15 @@ def invariant_map_rank(n: int, space: BilinearSpace):
     the linear combinations of pairings whose tensors cancel.  One
     elimination gives both: the rank is (2n-1)!! less the kernel dimension.
     """
-    columns = sorted({flat for support in form_supports(n, space) for flat, _ in support})
-    rows = [[f.coeffs[flat] for flat in columns] for f in all_form_tensors(n, space)]
+    supports = form_supports(n, space)
+    columns = sorted({flat for support in supports for flat, _ in support})
+    rows = [[row[flat] for flat in columns] for row in map(SupportMap, supports)]
     kernel = [PairingVector(n, combo) for combo in linalg.left_kernel(rows)]
     r = len(rows) - len(kernel)
     expected = sum(
         hook_dimension(lam) for lam in admissible_partitions(n, space.flavor, space.k)
     )
     if r != expected:
-        from .errors import InternalConsistencyError
-
         raise InternalConsistencyError(
             f"invariant map rank {r} does not match admissible multiplicity {expected}"
         )

@@ -107,6 +107,49 @@ def test_trade_n3_report_is_pinned(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "flavor, k, digest",
+    [
+        ("orthogonal", "4",
+         "cd4153239f788c0c35a1ce46667903140af85b85243790bcf5e5ea86c364507c"),
+        ("symplectic", "3",
+         "52246ba14f27463a22d47a8a0ad47088a1314014cf9411a70a559c9ae3d1909b"),
+    ],
+    ids=["dense-at-limit", "nonzero-past-limit"],
+)
+def test_trade_report_form_is_pinned(capsys, tmp_path, flavor, k, digest):
+    # dim^6 = 4096 coefficients at orthogonal k=4 is exactly the dense limit,
+    # so that report lists every coefficient; 6^6 at symplectic k=3 lists the
+    # nonzero ones by flat position.  Digests as printed by the dense tensors.
+    data = tmp_path / "contractions.json"
+    data.write_text(json.dumps([
+        "-10", "-17/3", "-7/2", "-11/5", "-4/3", "-5/2", "-2/3", "1/4",
+        "4/5", "7/6", "5", "13/3", "4", "19/5", "11/3",
+    ]))
+    code, out, err = run_cli(
+        capsys, "trade", "--n", "3", "--flavor", flavor, "--k", k,
+        "--contractions", str(data),
+    )
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_trade_past_dense_limit_builds_no_dense_array(capsys, tmp_path, monkeypatch):
+    from nodaltrade.tensor_oracle import Tensor
+
+    def refuse(self):
+        raise AssertionError("a dense coefficient array was built")
+
+    monkeypatch.setattr(Tensor, "coeffs", property(refuse))
+    data = tmp_path / "contractions.json"
+    data.write_text(json.dumps(["1"] * 15))
+    report = run_json(
+        capsys, "trade", "--n", "3", "--flavor", "orthogonal", "--k", "5",
+        "--contractions", str(data),
+    )
+    assert "coeffs" not in report["recovered"][0]["tensor"]
+
+
+@pytest.mark.parametrize(
     "argv, digest",
     [
         (("loopmat", "--n", "3", "--x", "-2", "--eigen"),

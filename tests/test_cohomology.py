@@ -300,3 +300,14 @@ def test_singular_model_rejected():
             degrees=(0, 2),
             pairing=((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
         )
+
+
+@pytest.mark.parametrize(
+    "pairing",
+    [((0, 1), (1,)), ((0, 1, 0), (1, 0, 0))],
+    ids=["ragged", "two-by-three"],
+)
+def test_misshapen_pairing_names_model_and_shape(pairing):
+    # a short row used to end in an IndexError, a wide one in "singular"
+    with pytest.raises(InvalidModelError, match=r"model warped: pairing must be 2 x 2"):
+        CohRing(name="warped", labels=("1", "x"), degrees=(0, 0), pairing=pairing)

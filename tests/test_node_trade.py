@@ -21,8 +21,8 @@ from nodaltrade.node_trade import (
     recover_batch,
     spot_check_invariance,
 )
-from nodaltrade.pairings import double_factorial_odd
-from nodaltrade.tensor_oracle import BilinearSpace
+from nodaltrade.pairings import double_factorial_odd, enumerate_pairings
+from nodaltrade.tensor_oracle import BilinearSpace, form_tensor
 
 
 def test_odd_insertions_refused():
@@ -173,12 +173,11 @@ def test_spot_check_invariance():
         omega = InvariantTensor.from_coordinates(2, space, (2, -1, 3))
         assert spot_check_invariance(omega.tensor, space)
     # a non-invariant tensor fails the generator check
-    from nodaltrade.tensor_oracle import DenseTensor
+    from nodaltrade.tensor_oracle import Tensor
 
     space = BilinearSpace("orthogonal", 2)
-    bad = [0] * space.dim**4
-    bad[0] = 1  # the bare monomial e1 x e1 x e1 x e1 is not O(V)-invariant
-    assert not spot_check_invariance(DenseTensor(2, space.dim, tuple(bad)), space)
+    # the bare monomial e1 x e1 x e1 x e1 (flat 0) is not O(V)-invariant
+    assert not spot_check_invariance(Tensor(2, space.dim, ((0, 1),)), space)
 
 
 @settings(max_examples=60, deadline=None)
@@ -202,6 +201,51 @@ def test_roundtrip_rational_coordinates(cell, data):
     back = recover(contractions, n, space)
     assert back.tensor == omega.tensor
     assert back.coordinates == project_invariant(coords, flavor, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cell=st.sampled_from(
+        [(flavor, n, k) for flavor in ("orthogonal", "symplectic") for n in (1, 2, 3) for k in (1, 2, 3)]
+    ),
+    data=st.data(),
+)
+def test_expansion_is_the_sorted_nonzero_support(cell, data):
+    # small rationals make cancelling totals likely where the form tensors
+    # are dependent (orthogonal k=1), so zeros must be dropped, not stored
+    flavor, n, k = cell
+    space = BilinearSpace(flavor, k)
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    size = double_factorial_odd(n)
+    coords = data.draw(st.lists(rational, min_size=size, max_size=size))
+    tensor = InvariantTensor.from_coordinates(n, space, coords).tensor
+    flats = [flat for flat, _ in tensor.support]
+    assert flats == sorted(set(flats))
+    assert all(value for _, value in tensor.support)
+    expected = [Fraction(0)] * space.dim ** (2 * n)
+    for c, p in zip(coords, enumerate_pairings(n)):
+        for flat, value in enumerate(form_tensor(p, space).coeffs):
+            if value:
+                expected[flat] += c * value
+    assert tensor.coeffs == tuple(expected)
+
+
+def test_no_dense_view_off_the_output_path(monkeypatch):
+    from nodaltrade import tensor_oracle
+
+    def refuse(self):
+        raise AssertionError("a dense coefficient array was built")
+
+    monkeypatch.setattr(tensor_oracle.Tensor, "coeffs", property(refuse))
+    space = BilinearSpace("symplectic", 3)
+    omega = InvariantTensor.from_coordinates(3, space, range(15))
+    assert recover(contract_with_all_diagonals(omega), 3, space).tensor == omega.tensor
+    assert spot_check_invariance(omega.tensor, space)
+    tensor_oracle.permute_slots(omega.tensor, (2, 1, 3, 4, 5, 6))
+    tensor_oracle.all_form_tensors(3, space)
+    tensor_oracle.all_diagonal_multivectors(3, space)
+    tensor_oracle.diagonal_insertion_matrix(2, space)
+    tensor_oracle.invariant_map_rank(2, space)
 
 
 def test_brute_force_budget_on_every_entry_point():

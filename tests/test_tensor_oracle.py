@@ -13,7 +13,7 @@ from nodaltrade.partitions import hook_dimension
 from nodaltrade.loop_matrix import admissible_partitions
 from nodaltrade.tensor_oracle import (
     BilinearSpace,
-    DenseTensor,
+    Tensor,
     _supports,
     all_diagonal_multivectors,
     all_form_tensors,
@@ -29,6 +29,11 @@ from nodaltrade.tensor_oracle import (
 )
 
 CELLS = [(flavor, k) for flavor in ("orthogonal", "symplectic") for k in (1, 2, 3)]
+
+
+def dense_tensor(n, dim, coeffs):
+    """The tensor whose dense view is coeffs."""
+    return Tensor(n, dim, tuple((flat, c) for flat, c in enumerate(coeffs) if c))
 
 
 def test_space_forms():
@@ -225,6 +230,30 @@ def test_building_tensors_leaves_no_reference_cycles():
         gc.enable()
 
 
+@pytest.mark.parametrize(
+    "support, fragment",
+    [
+        (((3, 1), (2, 1)), "strictly increase"),
+        (((2, 1), (2, 5)), "strictly increase"),
+        (((-1, 1),), "within 0..15"),
+        (((16, 1),), "within 0..15"),
+        (((0, 1), (5, Fraction(0))), "zero value"),
+    ],
+    ids=["unsorted", "repeated-flat", "negative-flat", "flat-past-end", "zero-value"],
+)
+def test_tensor_rejects_malformed_support(support, fragment):
+    with pytest.raises(InvalidInputError, match=fragment):
+        Tensor(2, 2, support)
+
+
+def test_tensor_reads_its_support():
+    t = Tensor(1, 3, ((1, Fraction(1, 2)), (8, -4)))
+    assert t.coeffs == (0, Fraction(1, 2), 0, 0, 0, 0, 0, 0, -4)
+    assert t.coefficient((0, 1)) == Fraction(1, 2) and t.coefficient((1, 0)) == 0
+    assert t == Tensor(1, 3, ((1, Fraction(1, 2)), (8, Fraction(-4))))
+    assert not t.is_zero() and Tensor(1, 3, ()).is_zero()
+
+
 def test_contract_support_common_denominator():
     coeffs = (Fraction(1, 2), Fraction(0), Fraction(-2, 3), 5)
     assert contract_support(coeffs, ((0, 4), (2, 3), (3, -1))) == Fraction(-5)
@@ -330,11 +359,11 @@ def test_contract_bilinearity_random():
     space = BilinearSpace("orthogonal", 2)
     size = space.dim**4
     for _ in range(5):
-        a = DenseTensor(2, space.dim, tuple(Fraction(rng.randint(-4, 4)) for _ in range(size)))
-        b = DenseTensor(2, space.dim, tuple(Fraction(rng.randint(-4, 4)) for _ in range(size)))
-        c = DenseTensor(2, space.dim, tuple(Fraction(rng.randint(-4, 4)) for _ in range(size)))
+        a = dense_tensor(2, space.dim, tuple(Fraction(rng.randint(-4, 4)) for _ in range(size)))
+        b = dense_tensor(2, space.dim, tuple(Fraction(rng.randint(-4, 4)) for _ in range(size)))
+        c = dense_tensor(2, space.dim, tuple(Fraction(rng.randint(-4, 4)) for _ in range(size)))
         lam = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        scaled = DenseTensor(2, space.dim, tuple(lam * x + y for x, y in zip(a.coeffs, b.coeffs)))
+        scaled = dense_tensor(2, space.dim, tuple(lam * x + y for x, y in zip(a.coeffs, b.coeffs)))
         assert contract(scaled, c) == lam * contract(a, c) + contract(b, c)
-        scaled2 = DenseTensor(2, space.dim, tuple(lam * x + y for x, y in zip(b.coeffs, c.coeffs)))
+        scaled2 = dense_tensor(2, space.dim, tuple(lam * x + y for x, y in zip(b.coeffs, c.coeffs)))
         assert contract(a, scaled2) == lam * contract(a, b) + contract(a, c)
