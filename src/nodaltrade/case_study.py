@@ -363,13 +363,12 @@ def evaluate_plane_invariant(term: InsertionList, table: OracleTable | None = No
     ring = load_model("p2")
     if term.genus != 0 or term.nodes != 0:
         raise InvalidInputError("the plane evaluator covers genus-0 nodeless terms")
+    if recorder is None:
+        recorder = []
     degrees = [ring.degree_of(i.coords) for i in term.insertions]
     if any(d == 0 for d in degrees):
         value, provenance = lookup_with_provenance("p2.cubic.9pts", table)
-        if recorder is not None:
-            recorder.append(
-                {"key": "p2.cubic.9pts", "value": value, "provenance": provenance}
-            )
+        recorder.append({"key": "p2.cubic.9pts", "value": value, "provenance": provenance})
         return value
     factor = Fraction(1)
     h = ring.class_coords("H")
@@ -381,24 +380,22 @@ def evaluate_plane_invariant(term: InsertionList, table: OracleTable | None = No
     if any(i.coords != ring.class_coords("p") for i in term.insertions):
         raise UnsupportedCaseError("leftover insertions are not point classes")
     if points != 3 * d - 1:
-        if recorder is not None:
-            recorder.append(
-                {
-                    "key": f"p2.deg{d}.{points}pts",
-                    "value": Fraction(0),
-                    "provenance": "point count does not match the moduli dimension",
-                }
-            )
-        return Fraction(0)
-    count = kontsevich_nd(d)
-    if recorder is not None:
         recorder.append(
             {
                 "key": f"p2.deg{d}.{points}pts",
-                "value": Fraction(count),
-                "provenance": "genus-0 recursion for rational plane curves",
+                "value": Fraction(0),
+                "provenance": "point count does not match the moduli dimension",
             }
         )
+        return Fraction(0)
+    count = kontsevich_nd(d)
+    recorder.append(
+        {
+            "key": f"p2.deg{d}.{points}pts",
+            "value": Fraction(count),
+            "provenance": "genus-0 recursion for rational plane curves",
+        }
+    )
     return factor * count
 
 
@@ -519,14 +516,7 @@ def elliptic_demo(u1, v1, u2, v2) -> dict:
     a = ring.class_coords("a")
     b = ring.class_coords("b")
 
-    def skew_coefficient(x, y):
-        # <x, y> = (x_a y_b - x_b y_a) <a, b> using <a,a> = <b,b> = 0 and
-        # <b,a> = -<a,b>
-        xa, xb = x[ring.labels.index("a")], x[ring.labels.index("b")]
-        ya, yb = y[ring.labels.index("a")], y[ring.labels.index("b")]
-        return xa * yb - xb * ya
-
-    pairing_coefficient = skew_coefficient(
+    pairing_coefficient = ring.pair(
         tuple(u1 * ai + v1 * bi for ai, bi in zip(a, b)),
         tuple(u2 * ai + v2 * bi for ai, bi in zip(a, b)),
     )
@@ -536,7 +526,7 @@ def elliptic_demo(u1, v1, u2, v2) -> dict:
     for coeff, child in split_node(parent, ring):
         x, y = child.insertions[-2].coords, child.insertions[-1].coords
         if ring.degree_of(x) == 1 and ring.degree_of(y) == 1:
-            nodal_coefficient += coeff * skew_coefficient(x, y)
+            nodal_coefficient += coeff * ring.pair(x, y)
 
     # trade route: the diagonal's primitive part is minus the decreasing-slot
     # diagonal multivector, so the solver runs with sign -1

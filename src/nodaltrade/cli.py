@@ -72,10 +72,6 @@ def _table_lines(value, prefix):
         yield f"{prefix[:-1]:40s} {value}"
 
 
-def _matrix_json(entries):
-    return [[format_rational(x) for x in row] for row in entries]
-
-
 def _load_json(path, option):
     """Read a JSON input file; undecodable contents are an input error
     naming the option that gave the file."""
@@ -94,7 +90,7 @@ def _cmd_pairings(args):
     out = {
         "n": args.n,
         "count": len(ps),
-        "pairings": [p.to_json() for p in ps],
+        "pairings": ps,
     }
     if args.crossings:
         out["crossings"] = [crossing_number(p) for p in ps]
@@ -106,9 +102,9 @@ def _cmd_loopmat(args):
     matrix = build_loop_matrix(args.n, x)
     out = {
         "n": args.n,
-        "x": format_rational(x),
+        "x": x,
         "size": matrix.size,
-        "matrix": _matrix_json(matrix.entries),
+        "matrix": matrix.entries,
     }
     if args.eigen:
         x0 = find_generic_specialization(args.n)
@@ -118,10 +114,10 @@ def _cmd_loopmat(args):
             "separation_point": x0,
             "blocks": [
                 {
-                    "partition": lam.to_json(),
-                    "eigenvalue": format_rational(values[lam]),
+                    "partition": lam,
+                    "eigenvalue": values[lam],
                     "dimension": len(basis),
-                    "basis": [v.to_json() for v in basis],
+                    "basis": basis,
                 }
                 for lam, basis in blocks.items()
             ],
@@ -141,14 +137,14 @@ def _cmd_oracle(args):
         "flavor": args.flavor,
         "k": args.k,
         "dim": space.dim,
-        "matrix": _matrix_json(brute),
+        "matrix": brute,
     }
     if args.check_loop_matrix:
         x = flavor_specialization(args.flavor, args.k)
         spec_matrix = build_loop_matrix(args.n, x)
         matches = brute == spec_matrix.entries
-        out["loop_matrix"] = _matrix_json(spec_matrix.entries)
-        out["specialization"] = format_rational(x)
+        out["loop_matrix"] = spec_matrix.entries
+        out["specialization"] = x
         out["matches"] = matches
         if not matches:
             raise VerificationError(
@@ -159,7 +155,7 @@ def _cmd_oracle(args):
     if args.rank:
         r, kernel = invariant_map_rank(args.n, space)
         out["rank"] = r
-        out["kernel"] = [v.to_json() for v in kernel]
+        out["kernel"] = kernel
     return out
 
 
@@ -184,7 +180,7 @@ def _cmd_trade(args):
         omega = recover(data, args.n, space, sign=args.sign)
         tensor = omega.tensor
         entry = {
-            "coordinates": omega.coordinates.to_json(),
+            "coordinates": omega.coordinates,
             "tensor": {"dim": tensor.dim, "order": tensor.order},
         }
         if tensor.dim ** tensor.order <= DENSE_COEFF_LIMIT:
@@ -208,7 +204,7 @@ def _cmd_graphs(args):
             contracted = contract_edges(graph_from_json(raw))
         except InvalidInputError as exc:
             raise InvalidInputError(f"--contract: {exc}") from exc
-        return {"contracted": contracted.to_json()}
+        return {"contracted": contracted}
     if args.split != "p2-f1-cubic":
         raise NodalTradeError(
             f"unknown split scenario {args.split!r}; bundled: p2-f1-cubic"
@@ -226,8 +222,8 @@ def _cmd_graphs(args):
                 "multiplicity": s.m,
                 "aut": s.aut,
                 "variants": len(s.variants),
-                "side1": s.gamma1.to_json(),
-                "side2": s.gamma2.to_json(),
+                "side1": s.gamma1,
+                "side2": s.gamma2,
             }
             for s in splittings
         ],
@@ -239,7 +235,7 @@ def _cmd_oracle_p2(args):
         return {"degree": args.nd, "count": str(plane_counts.kontsevich_nd(args.nd))}
     if args.key is not None:
         value, provenance = plane_counts.lookup_with_provenance(args.key)
-        return {"key": args.key, "value": format_rational(value), "provenance": provenance}
+        return {"key": args.key, "value": value, "provenance": provenance}
     chi, basepoints = args.pencil
     return {
         "chi": chi,
@@ -251,17 +247,16 @@ def _cmd_oracle_p2(args):
 def _cmd_appendix(args):
     if args.case:
         value, breakdown = case_study.compute_contribution(args.case)
-        return {"case": args.case, "value": format_rational(value), "breakdown": jsonable(breakdown)}
+        return {"case": args.case, "value": value, "breakdown": breakdown}
     report = case_study.compute_rhs_total()
-    demo = case_study.elliptic_demo(1, 0, 0, 1)
     out = {
-        "lhs": format_rational(report.lhs),
-        "contributions": {k: format_rational(v) for k, v in report.contributions.items()},
-        "rhs_total": format_rational(report.rhs_total),
+        "lhs": report.lhs,
+        "contributions": report.contributions,
+        "rhs_total": report.rhs_total,
         "agreement": report.agreement,
-        "breakdowns": jsonable(report.breakdowns),
-        "lhs_breakdown": jsonable(report.lhs_breakdown),
-        "elliptic_warmup": jsonable(demo),
+        "breakdowns": report.breakdowns,
+        "lhs_breakdown": report.lhs_breakdown,
+        "elliptic_warmup": case_study.elliptic_demo(1, 0, 0, 1),
     }
     if not report.agreement:
         raise VerificationError(
@@ -277,7 +272,7 @@ def _cmd_models(args):
         "basis": [
             {"label": l, "degree": d} for l, d in zip(ring.labels, ring.degrees)
         ],
-        "pairing": _matrix_json(ring.pairing),
+        "pairing": ring.pairing,
     }
 
 
@@ -362,7 +357,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     fmt = getattr(args, "report", None) or args.format
     try:
-        report = args.handler(args)
+        report = jsonable(args.handler(args))
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1

@@ -104,9 +104,7 @@ class PairingVector:
         return PairingVector(n, (Fraction(0),) * double_factorial_odd(n))
 
     def to_json(self):
-        from .rationals import format_rational
-
-        return [format_rational(c) for c in self.coords]
+        return self.coords
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ and the bundle of parent-edge placements drawn as one case.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -188,37 +189,22 @@ def contract_marked_edges(graph: StableGraph, marked: tuple[int, ...]) -> Stable
 
 
 def graph_isomorphic(g1: StableGraph, g2: StableGraph) -> bool:
-    """Brute-force isomorphism of decorated graphs with labeled legs."""
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
-        return False
-    if len(g1.legs) != len(g2.legs):
-        return False
-
-    def leg_key(l):
-        return (l.marking, l.kind, l.multiplicity)
-
-    legs2_by_key = {}
-    for l in g2.legs:
-        legs2_by_key.setdefault(leg_key(l), []).append(l.vertex)
+    """Brute-force isomorphism of decorated graphs with labeled legs: some
+    vertex bijection matches the decorations, the edges, and the legs as
+    multisets of (marking, kind, multiplicity, image vertex)."""
     n = len(g1.vertices)
+    if (n, len(g1.edges), len(g1.legs)) != (len(g2.vertices), len(g2.edges), len(g2.legs)):
+        return False
+    target_edges = sorted(tuple(sorted(e)) for e in g2.edges)
+    target_legs = Counter((l.marking, l.kind, l.multiplicity, l.vertex) for l in g2.legs)
     for perm in itertools.permutations(range(n)):
-        if any(
-            g1.vertices[v].genus != g2.vertices[perm[v]].genus
-            or g1.vertices[v].cls != g2.vertices[perm[v]].cls
-            for v in range(n)
-        ):
+        if any(g1.vertices[v] != g2.vertices[perm[v]] for v in range(n)):
             continue
-        mapped_edges = sorted(tuple(sorted((perm[a], perm[b]))) for a, b in g1.edges)
-        target_edges = sorted(tuple(sorted(e)) for e in g2.edges)
-        if mapped_edges != target_edges:
+        if sorted(tuple(sorted((perm[a], perm[b]))) for a, b in g1.edges) != target_edges:
             continue
-        ok = True
-        for l in g1.legs:
-            targets = legs2_by_key.get(leg_key(l), [])
-            if perm[l.vertex] not in targets:
-                ok = False
-                break
-        if ok:
+        if Counter(
+            (l.marking, l.kind, l.multiplicity, perm[l.vertex]) for l in g1.legs
+        ) == target_legs:
             return True
     return False
 
