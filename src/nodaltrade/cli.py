@@ -35,9 +35,7 @@ def jsonable(value):
     """Recursively render Fractions as exact strings and tuples as lists."""
     if isinstance(value, Fraction):
         return format_rational(value)
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, str)):
+    if value is None or isinstance(value, (int, str)):  # bool is an int
         return value
     if isinstance(value, float):
         raise NodalTradeError("a float reached the output layer; refusing to emit it")
@@ -73,11 +71,12 @@ def _table_lines(value, prefix):
 
 
 def _load_json(path, option):
-    """Read a JSON input file; undecodable contents are an input error
-    naming the option that gave the file."""
+    """Read a JSON input file with every number exact (1.5 is 3/2, and no
+    float is built); undecodable contents are an input error naming the
+    option that gave the file."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_float=Fraction, parse_constant=Fraction)
         except ValueError as exc:
             raise InvalidInputError(f"{option}: {path} is not valid JSON: {exc}") from exc
 

@@ -88,7 +88,7 @@ class CohRing:
         return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.size))
 
     def class_coords(self, cls) -> tuple[Fraction, ...]:
-        """Resolve a label, a label combination dict, or raw coordinates."""
+        """Resolve a label or a sequence of rational coordinates."""
         if isinstance(cls, str):
             try:
                 return self.basis_vector(self.labels.index(cls))
@@ -96,7 +96,12 @@ class CohRing:
                 raise InvalidInputError(
                     f"unknown class {cls!r} in model {self.name}"
                 ) from exc
-        coords = tuple(Fraction(c) for c in cls)
+        try:
+            coords = tuple(Fraction(c) for c in cls)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InvalidInputError(
+                f"class coordinates must be rationals in model {self.name}, got {cls!r}"
+            ) from exc
         if len(coords) != self.size:
             raise InvalidInputError(
                 f"class coordinates must have length {self.size} in model {self.name}"

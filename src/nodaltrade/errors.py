@@ -46,6 +46,9 @@ class MissingDataError(NodalTradeError, KeyError):
         self.key = key
         super().__init__(f"no oracle entry for key {key!r}")
 
+    def __str__(self):  # KeyError's own __str__ would quote the message
+        return self.args[0]
+
 
 class InvalidModelError(NodalTradeError):
     """A bundled or user-supplied model violates its schema invariants."""

@@ -96,23 +96,43 @@ class StableGraph:
         }
 
 
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def graph_from_json(raw: dict) -> StableGraph:
     """Build a graph from its JSON form; any malformed entry raises
-    InvalidInputError."""
+    InvalidInputError.  Numbers must be integers, and markings integers
+    or strings, unique per leg kind."""
     try:
         vertices = tuple(
-            Vertex(int(v["genus"]), tuple(int(c) for c in v["class"])) for v in raw["vertices"]
+            Vertex(
+                _json_int(v["genus"], "genus"),
+                tuple(_json_int(c, "class entry") for c in v["class"]),
+            )
+            for v in raw["vertices"]
         )
-        edges = tuple((int(a), int(b)) for a, b in raw.get("edges", []))
+        edges = tuple(
+            (_json_int(a, "edge end"), _json_int(b, "edge end")) for a, b in raw.get("edges", [])
+        )
         legs = tuple(
             Leg(
-                vertex=int(l["vertex"]),
+                vertex=_json_int(l["vertex"], "leg vertex"),
                 marking=l["marking"],
                 kind=l.get("kind", INTERIOR),
-                multiplicity=l.get("multiplicity"),
+                multiplicity=(
+                    _json_int(l["multiplicity"], "multiplicity") if "multiplicity" in l else None
+                ),
             )
             for l in raw.get("legs", [])
         )
+        for i, l in enumerate(legs):
+            if type(l.marking) not in (int, str):
+                raise InvalidInputError(f"marking {l.marking!r} is not an integer or a string")
+            if any((o.kind, o.marking) == (l.kind, l.marking) for o in legs[:i]):
+                raise InvalidInputError(f"two {l.kind} legs share the marking {l.marking!r}")
     except InvalidInputError:
         raise
     except KeyError as exc:

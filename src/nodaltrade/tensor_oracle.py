@@ -128,6 +128,8 @@ def slot_weights(dim: int, order: int) -> list[int]:
 
 
 def check_brute_force_budget(n: int, dim: int) -> None:
+    if n < 1:
+        raise InvalidInputError(f"n must be >= 1, got {n}")
     if n > BRUTE_FORCE_MAX_N or dim > BRUTE_FORCE_MAX_DIM:
         raise ResourceLimitError(
             f"brute force limited to n <= {BRUTE_FORCE_MAX_N} and "

@@ -202,6 +202,73 @@ def test_malformed_input_file_exits_2(capsys, tmp_path, argv, content, fragment)
     assert err.startswith(f"error: {fragment}")
 
 
+def test_contraction_numbers_are_read_exactly(capsys, tmp_path):
+    # a float would have turned this number into 12345678901234567000
+    exact = tmp_path / "exact.json"
+    exact.write_text('["12345678901234567890", "0", "0"]')
+    written = tmp_path / "written.json"
+    written.write_text("[12345678901234567890.0, 0, 0]")
+    argv = ("trade", "--n", "2", "--flavor", "orthogonal", "--k", "2", "--contractions")
+    expected = run_cli(capsys, *argv, str(exact))
+    assert run_cli(capsys, *argv, str(written)) == expected
+    assert expected[0] == 0 and "6172839450617283945/4" in expected[1]
+
+
+GRAPH = {
+    "vertices": [{"genus": 0, "class": [1]}, {"genus": 0, "class": [2]}],
+    "edges": [[0, 1]],
+    "legs": [{"vertex": 0, "marking": 1}, {"vertex": 1, "marking": 2}],
+}
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("vertices", 0, "genus"), 1.9, "genus must be an integer, got Fraction(19, 10)"),
+        (("vertices", 0, "genus"), True, "genus must be an integer, got True"),
+        (("vertices", 1, "class", 0), 2.7, "class entry must be an integer"),
+        (("legs", 0, "vertex"), 1.0, "leg vertex must be an integer"),
+        (("edges", 0, 1), "1", "edge end must be an integer, got '1'"),
+        (("legs", 1, "multiplicity"), 2.5, "multiplicity must be an integer"),
+        (("legs", 0, "marking"), [1], "marking [1] is not an integer or a string"),
+        (("legs", 1, "marking"), 1, "two interior legs share the marking 1"),
+    ],
+    ids=["genus-float", "genus-bool", "class-float", "leg-vertex-float", "edge-end-string",
+         "multiplicity-float", "marking-list", "repeated-marking"],
+)
+def test_graph_fields_are_checked(capsys, tmp_path, path, value, message):
+    graph = json.loads(json.dumps(GRAPH))
+    target = graph
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    f = tmp_path / "graph.json"
+    f.write_text(json.dumps(graph))
+    code, out, err = run_cli(capsys, "graphs", "--contract", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --contract: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("oracle-p2", "--key", "nope"), "error: no oracle entry for key 'nope'"),
+        (("trade", "--n", "0", "--flavor", "orthogonal", "--k", "1", "--contractions"),
+         "error: n must be >= 1, got 0"),
+        (("trade", "--n", "-1", "--flavor", "orthogonal", "--k", "1", "--contractions"),
+         "error: n must be >= 1, got -1"),
+    ],
+    ids=["missing-key", "trade-n-0", "trade-n-negative"],
+)
+def test_error_lines_name_the_argument(capsys, tmp_path, argv, line):
+    if argv[-1] == "--contractions":
+        f = tmp_path / "one.json"
+        f.write_text('["1"]')
+        argv += (str(f),)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", line + "\n")
+
+
 def test_graphs_contract(capsys, tmp_path):
     graph = {
         "vertices": [{"genus": 0, "class": [1]}, {"genus": 0, "class": [2]}],
@@ -312,6 +379,15 @@ def test_no_floats_anywhere(capsys):
 def test_jsonable_refuses_floats():
     with pytest.raises(NodalTradeError):
         jsonable({"bad": 0.5})
+
+
+def test_every_report_field_passes_the_float_refusal(capsys, monkeypatch):
+    import nodaltrade.cli as cli
+
+    monkeypatch.setattr(cli.plane_counts, "lookup_with_provenance", lambda key: (0.5, "tabled"))
+    code, out, err = run_cli(capsys, "oracle-p2", "--key", "p2.conic.4pts.tangentL")
+    assert (code, out) == (2, "")
+    assert "a float reached the output layer" in err
 
 
 def test_verification_failure_exit_code(capsys, monkeypatch):

@@ -112,6 +112,12 @@ def test_duality_kronecker_everywhere():
                 assert ring.pair(ring.basis_vector(i), dual) == expected
 
 
+@pytest.mark.parametrize("cls", [{"H": 1}, ("1", "x", "0"), 5])
+def test_class_coords_refuses_non_rationals(cls):
+    with pytest.raises(InvalidInputError, match="class coordinates must be rationals in model p2"):
+        load_model("p2").class_coords(cls)
+
+
 def test_p2_diagonal():
     ring = load_model("p2")
     pairs = kunneth_diagonal(ring)

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nodaltrade.cohomology import load_model
 from nodaltrade.errors import InvalidInputError, ResourceLimitError
 from nodaltrade.stable_graphs import (
     DegenerationScenario,
+    RELATIVE,
     Leg,
     SideVertexSpec,
     SplitOption,
@@ -100,6 +103,61 @@ def test_isomorphism_respects_markings():
         legs=(Leg(1, 1), Leg(0, 2)),
     )
     assert not graph_isomorphic(g3, g4)  # classes pin the vertices
+
+
+def test_isomorphism_matches_repeated_legs_as_a_multiset():
+    # two copies of one leg on vertex 0 cannot map onto one copy on each
+    # vertex, whichever graph is asked first
+    v = Vertex(0, (1,))
+    g1 = StableGraph((v, v), (), (Leg(0, 1), Leg(0, 1)))
+    g2 = StableGraph((v, v), (), (Leg(0, 1), Leg(1, 1)))
+    assert not graph_isomorphic(g1, g2)
+    assert not graph_isomorphic(g2, g1)
+
+
+@st.composite
+def decorated_graphs(draw):
+    """Graphs with at most 3 vertices, small decorations and unique markings."""
+    nv = draw(st.integers(1, 3))
+    vertex = st.integers(0, nv - 1)
+    vertices = tuple(
+        Vertex(draw(st.integers(0, 1)), (draw(st.integers(0, 2)),)) for _ in range(nv)
+    )
+    edges = tuple(draw(st.lists(st.tuples(vertex, vertex), max_size=3)))
+    legs = tuple(
+        Leg(draw(vertex), m, RELATIVE, draw(st.integers(1, 2)))
+        if draw(st.booleans()) else Leg(draw(vertex), m)
+        for m in draw(st.lists(st.integers(1, 5), unique=True, max_size=4))
+    )
+    return StableGraph(vertices, edges, legs)
+
+
+def renumbered(g, perm):
+    """g with vertex v renamed perm[v], and its edges and legs reordered."""
+    vertices = [None] * len(g.vertices)
+    for v, vert in enumerate(g.vertices):
+        vertices[perm[v]] = vert
+    edges = tuple((perm[b], perm[a]) for a, b in reversed(g.edges))
+    legs = tuple(Leg(perm[l.vertex], l.marking, l.kind, l.multiplicity) for l in reversed(g.legs))
+    return StableGraph(tuple(vertices), edges, legs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), decorated_graphs(), decorated_graphs())
+def test_isomorphism_properties(data, g, other):
+    perm = data.draw(st.permutations(range(len(g.vertices))))
+    h = renumbered(g, perm)
+    assert graph_isomorphic(g, h) and graph_isomorphic(h, g)
+    assert graph_isomorphic(g, other) == graph_isomorphic(other, g)
+    assume(g.legs)
+    i = data.draw(st.integers(0, len(g.legs) - 1))
+    leg = g.legs[i]
+    elsewhere = [w for w, vert in enumerate(g.vertices) if vert.cls != g.vertices[leg.vertex].cls]
+    assume(elsewhere)
+    moved = list(g.legs)
+    moved[i] = Leg(data.draw(st.sampled_from(elsewhere)), leg.marking, leg.kind, leg.multiplicity)
+    broken = StableGraph(g.vertices, g.edges, tuple(moved))
+    assert not graph_isomorphic(g, broken) and not graph_isomorphic(broken, g)
 
 
 def test_json_round_trip():
