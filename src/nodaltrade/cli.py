@@ -71,9 +71,9 @@ def _table_lines(value, prefix):
 
 
 def _load_json(path, option):
-    """Read a JSON input file with every number exact (1.5 is 3/2, and no
-    float is built); undecodable contents are an input error naming the
-    option that gave the file."""
+    """Read a JSON input file with every number exact (1.5 is 3/2; NaN and
+    Infinity are refused), so no float is built; undecodable contents are
+    an input error naming the option that gave the file."""
     with open(path) as fh:
         try:
             return json.load(fh, parse_float=Fraction, parse_constant=Fraction)

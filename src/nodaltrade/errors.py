@@ -46,8 +46,7 @@ class MissingDataError(NodalTradeError, KeyError):
         self.key = key
         super().__init__(f"no oracle entry for key {key!r}")
 
-    def __str__(self):  # KeyError's own __str__ would quote the message
-        return self.args[0]
+    __str__ = Exception.__str__  # KeyError's own __str__ would quote the message
 
 
 class InvalidModelError(NodalTradeError):

@@ -12,7 +12,6 @@ and the bundle of parent-edge placements drawn as one case.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -216,16 +215,19 @@ def graph_isomorphic(g1: StableGraph, g2: StableGraph) -> bool:
     if (n, len(g1.edges), len(g1.legs)) != (len(g2.vertices), len(g2.edges), len(g2.legs)):
         return False
     target_edges = sorted(tuple(sorted(e)) for e in g2.edges)
-    target_legs = Counter((l.marking, l.kind, l.multiplicity, l.vertex) for l in g2.legs)
+    target_legs = [(l.marking, l.kind, l.multiplicity, l.vertex) for l in g2.legs]
     for perm in itertools.permutations(range(n)):
         if any(g1.vertices[v] != g2.vertices[perm[v]] for v in range(n)):
             continue
         if sorted(tuple(sorted((perm[a], perm[b]))) for a, b in g1.edges) != target_edges:
             continue
-        if Counter(
-            (l.marking, l.kind, l.multiplicity, perm[l.vertex]) for l in g1.legs
-        ) == target_legs:
-            return True
+        unmatched = list(target_legs)
+        try:  # each leg of g1 takes one equal leg of g2: the multisets agree
+            for l in g1.legs:
+                unmatched.remove((l.marking, l.kind, l.multiplicity, perm[l.vertex]))
+        except ValueError:
+            continue
+        return True
     return False
 
 

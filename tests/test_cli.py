@@ -212,6 +212,9 @@ def test_contraction_numbers_are_read_exactly(capsys, tmp_path):
     expected = run_cli(capsys, *argv, str(exact))
     assert run_cli(capsys, *argv, str(written)) == expected
     assert expected[0] == 0 and "6172839450617283945/4" in expected[1]
+    written.write_text("[NaN, 0, 0]")  # Python's json would build a float
+    code, out, err = run_cli(capsys, *argv, str(written))
+    assert (code, out) == (2, "") and "is not valid JSON" in err
 
 
 GRAPH = {
