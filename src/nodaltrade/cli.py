@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import __version__, case_study, plane_counts
+from . import __version__, case_study, plane_counts, tensor_oracle
 from .cohomology import load_model
 from .errors import InvalidInputError, NodalTradeError, VerificationError
 from .loop_matrix import (
@@ -22,13 +22,10 @@ from .loop_matrix import (
     find_generic_specialization,
     flavor_specialization,
 )
-from .node_trade import recover
+from .node_trade import recover_batch
 from .pairings import crossing_number, enumerate_pairings
 from .rationals import format_rational, parse_rational
 from .stable_graphs import contract_edges, enumerate_splittings, graph_from_json
-from .tensor_oracle import BilinearSpace, diagonal_insertion_matrix, invariant_map_rank
-
-DENSE_COEFF_LIMIT = 4096
 
 
 def jsonable(value):
@@ -124,13 +121,13 @@ def _cmd_loopmat(args):
     return out
 
 
-def _space(args) -> BilinearSpace:
-    return BilinearSpace(args.flavor, args.k)
+def _space(args) -> tensor_oracle.BilinearSpace:
+    return tensor_oracle.BilinearSpace(args.flavor, args.k)
 
 
 def _cmd_oracle(args):
     space = _space(args)
-    brute = diagonal_insertion_matrix(args.n, space)
+    brute = tensor_oracle.diagonal_insertion_matrix(args.n, space)
     out = {
         "n": args.n,
         "flavor": args.flavor,
@@ -152,7 +149,7 @@ def _cmd_oracle(args):
                 rhs=spec_matrix.entries,
             )
     if args.rank:
-        r, kernel = invariant_map_rank(args.n, space)
+        r, kernel = tensor_oracle.invariant_map_rank(args.n, space)
         out["rank"] = r
         out["kernel"] = kernel
     return out
@@ -160,6 +157,7 @@ def _cmd_oracle(args):
 
 def _cmd_trade(args):
     space = _space(args)
+    tensor_oracle.check_brute_force_budget(args.n, space.dim)
     raw = _load_json(args.contractions, "--contractions")
     vectors = raw if isinstance(raw, list) and raw and isinstance(raw[0], list) else [raw]
     if not all(
@@ -170,29 +168,19 @@ def _cmd_trade(args):
             "--contractions must be a JSON array of rationals, or an array "
             "of such arrays for batch recovery"
         )
-    results = []
-    for vec in vectors:
-        try:
-            data = PairingVector(args.n, tuple(parse_rational(str(x)) for x in vec))
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"--contractions: {exc}") from exc
-        omega = recover(data, args.n, space, sign=args.sign)
-        tensor = omega.tensor
-        entry = {
-            "coordinates": omega.coordinates,
-            "tensor": {"dim": tensor.dim, "order": tensor.order},
-        }
-        if tensor.dim ** tensor.order <= DENSE_COEFF_LIMIT:
-            entry["tensor"]["coeffs"] = [format_rational(c) for c in tensor.coeffs]
-        else:
-            entry["tensor"]["nonzero"] = {str(i): format_rational(c) for i, c in tensor.support}
-        results.append(entry)
+    try:
+        data = [PairingVector(args.n, [parse_rational(str(x)) for x in vec]) for vec in vectors]
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"--contractions: {exc}") from exc
     return {
         "n": args.n,
         "flavor": args.flavor,
         "k": args.k,
         "sign": args.sign,
-        "recovered": results,
+        "recovered": [
+            {"coordinates": omega.coordinates, "tensor": omega.tensor}
+            for omega in recover_batch(data, args.n, space, sign=args.sign)
+        ],
     }
 
 
@@ -339,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("appendix", help="the worked example, both routes")
     p.add_argument("--case", choices=case_study.CASE_IDS)
-    p.add_argument("--report", choices=("json", "table"), help="alias of --format")
     common(p)
     p.set_defaults(handler=_cmd_appendix)
 
@@ -354,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    fmt = getattr(args, "report", None) or args.format
     try:
         report = jsonable(args.handler(args))
     except VerificationError as exc:
@@ -367,7 +353,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report["seed"] = args.seed
-    _emit(report, fmt)
+    _emit(report, args.format)
     return 0
 
 

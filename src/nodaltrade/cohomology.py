@@ -19,7 +19,7 @@ from types import MappingProxyType
 
 from . import linalg
 from .errors import InvalidInputError, InvalidModelError, UnsupportedCaseError
-from .rationals import format_rational, parse_rational
+from .rationals import as_rational, format_rational, parse_rational
 
 
 def _join_terms(terms) -> str:
@@ -97,7 +97,7 @@ class CohRing:
                     f"unknown class {cls!r} in model {self.name}"
                 ) from exc
         try:
-            coords = tuple(Fraction(c) for c in cls)
+            coords = tuple(map(as_rational, cls))
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(
                 f"class coordinates must be rationals in model {self.name}, got {cls!r}"

@@ -23,6 +23,7 @@ from .errors import (
 )
 from .pairings import double_factorial_odd, enumerate_pairings, loop_number
 from .partitions import Partition, content_product, even_row_partitions, hook_dimension
+from .rationals import as_rational
 
 ORTHOGONAL = "orthogonal"
 SYMPLECTIC = "symplectic"
@@ -73,7 +74,12 @@ class PairingVector:
     coords: tuple[Fraction, ...]
 
     def __init__(self, n, coords):
-        coords = tuple(Fraction(c) for c in coords)
+        if n < 1:
+            raise InvalidInputError(f"n must be >= 1, got {n}")
+        try:
+            coords = tuple(map(as_rational, coords))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InvalidInputError(f"coordinates for n={n} must be rationals: {exc}") from exc
         expected = double_factorial_odd(n)
         if len(coords) != expected:
             raise InvalidInputError(

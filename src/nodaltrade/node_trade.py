@@ -4,31 +4,22 @@ The linear system is M w = data over the pairing basis, where M is the
 loop matrix at the flavor's specialization point.  M is invertible exactly
 on the invariant subspace, so a data vector arising from an invariant
 tensor is recovered by the blockwise restricted inverse and re-expanded
-through the form tensors.
+through the form tensors.  `tensor_oracle` owns the tensor format.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 from .errors import InconsistentDataError, InvalidInputError, SubspaceError
-from .loop_matrix import (
-    PairingVector,
-    decompose_isotypic,
-    is_admissible,
-    restricted_inverse_apply,
-)
+from .loop_matrix import PairingVector, project_invariant, restricted_inverse_apply
 from .tensor_oracle import (
     BilinearSpace,
-    SupportMap,
     Tensor,
     check_brute_force_budget,
-    contract_support,
-    diagonal_supports,
-    form_supports,
-    slot_weights,
+    diagonal_row,
+    form_combination,
+    permute_slots,
 )
 
 
@@ -68,26 +59,7 @@ class InvariantTensor:
             coords = PairingVector(n, coords)
         if coords.n != n:
             raise InvalidInputError(f"coordinates are for n={coords.n}, not n={n}")
-        supports = form_supports(n, space)
-        # sum c_P * T_P in integers over the coordinates' common denominator
-        den = lcm(*(c.denominator for c in coords.coords))
-        acc = {}
-        for c, support in zip(coords.coords, supports):
-            if not c:
-                continue
-            scale = c.numerator * (den // c.denominator)
-            for flat, value in support:
-                acc[flat] = acc.get(flat, 0) + scale * value
-        # the sorted nonzero totals, one shared value per total (an int if den is 1)
-        values, support = {}, []
-        for flat in sorted(acc):
-            total = acc[flat]
-            if total:
-                value = values.get(total)
-                if value is None:
-                    value = values[total] = Fraction(total, den) if den > 1 else total
-                support.append((flat, value))
-        tensor = Tensor(n, space.dim, tuple(support))
+        tensor = form_combination(coords, space)
         return InvariantTensor(n=n, space=space, tensor=tensor, coordinates=coords)
 
     @staticmethod
@@ -102,11 +74,10 @@ def spot_check_invariance(tensor: Tensor, space: BilinearSpace) -> bool:
     preserve the form, plus -Id), which is a spot check rather than a
     proof of full group invariance.
     """
-    for mapping in _monomial_generators(space):
-        if not _fixed_by_monomial(tensor, mapping):
-            return False
-    # -Id acts by (-1)^(2n) = +1 on an even-order tensor, hence trivially
-    return True
+    # a signed basis map permutes the flats, so it fixes the tensor exactly when
+    # the mapped tensor equals it; -Id acts by (-1)^(2n) = +1, hence trivially
+    slots = range(1, tensor.order + 1)
+    return all(permute_slots(tensor, slots, m) == tensor for m in _monomial_generators(space))
 
 
 def _monomial_generators(space: BilinearSpace):
@@ -135,30 +106,9 @@ def _monomial_generators(space: BilinearSpace):
     return gens
 
 
-def _fixed_by_monomial(t: Tensor, mapping) -> bool:
-    # the signed basis map permutes the flats, so it fixes t exactly when it
-    # carries each support entry onto a support entry of the same value
-    coeffs = SupportMap(t.support)
-    weight = slot_weights(t.dim, t.order)
-    for flat, value in t.support:
-        src = 0
-        sign = 1
-        for w in weight:
-            b, s = mapping[flat // w % t.dim]
-            src += b * w
-            sign *= s
-        if coeffs[src] * sign != value:
-            return False
-    return True
-
-
 def contract_with_all_diagonals(omega: InvariantTensor) -> PairingVector:
     """Vector of contractions of the tensor against every diagonal multivector."""
-    coeffs = SupportMap(omega.tensor.support)
-    return PairingVector(
-        omega.n,
-        tuple(contract_support(coeffs, d) for d in diagonal_supports(omega.n, omega.space)),
-    )
+    return PairingVector(omega.n, diagonal_row(omega.tensor, omega.space))
 
 
 def recover(contractions, n: int, space: BilinearSpace, sign: int = 1) -> InvariantTensor:
@@ -194,8 +144,4 @@ def recover_batch(contraction_vectors, n: int, space: BilinearSpace, sign: int =
 
 def inadmissible_residual(v: PairingVector, space: BilinearSpace) -> PairingVector:
     """Component of v outside the invariant subspace (zero for valid data)."""
-    result = PairingVector.zero(v.n)
-    for lam, component in decompose_isotypic(v).items():
-        if not is_admissible(space.flavor, space.k, lam):
-            result = result + component
-    return result
+    return v - project_invariant(v, space.flavor, space.k)

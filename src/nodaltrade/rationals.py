@@ -17,6 +17,14 @@ def parse_rational(text: str) -> Fraction:
         raise InvalidInputError(f"malformed rational {text!r}: {exc}") from exc
 
 
+def as_rational(value) -> Fraction:
+    """An int, a Fraction or a rational string as a Fraction; a float raises
+    TypeError, since its binary value is not the decimal it was written as."""
+    if isinstance(value, float):
+        raise TypeError(f"refusing the float {value!r}")
+    return Fraction(value)
+
+
 def format_rational(value) -> str:
     """Render an int or Fraction as "p" or "p/q" in lowest terms."""
     f = Fraction(value)

@@ -2,8 +2,8 @@
 
 Builds the covariant pairing tensors and the contravariant diagonal
 multivectors as supports (their nonzero entries, enumerated directly),
-stores every tensor as its support, and contracts one support against
-another.
+stores every tensor as its support, and owns that format: linear
+combinations, slot and basis remaps, contractions and the report form.
 The central assertion of the module is that the matrix of contractions
 reproduces the loop matrix at x = k (orthogonal) or x = -2k (symplectic);
 tests and the CLI perform that comparison entrywise, keeping the two
@@ -27,6 +27,7 @@ from .partitions import hook_dimension
 
 BRUTE_FORCE_MAX_N = 3
 BRUTE_FORCE_MAX_DIM = 6
+DENSE_COEFF_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,15 @@ class Tensor:
 
     def is_zero(self) -> bool:
         return not self.support
+
+    def to_json(self) -> dict:
+        """Every coefficient up to DENSE_COEFF_LIMIT of them, else the nonzero ones by flat."""
+        out = {"dim": self.dim, "order": self.order}
+        if self.dim ** self.order <= DENSE_COEFF_LIMIT:
+            out["coeffs"] = [Fraction(c) for c in self.coeffs]
+        else:
+            out["nonzero"] = {flat: Fraction(c) for flat, c in self.support}
+        return out
 
 
 def slot_weights(dim: int, order: int) -> list[int]:
@@ -226,42 +236,80 @@ def contract(form: Tensor, vec: Tensor) -> Fraction:
     return contract_support(SupportMap(form.support), vec.support)
 
 
-def permute_slots(t: Tensor, g) -> Tensor:
-    """Move the factor in slot i to slot g(i); g is a 1-based image tuple."""
+def permute_slots(t: Tensor, g, basis=None) -> Tensor:
+    """Move the factor in slot i to slot g(i) and send e_b to sign * e_image.
+
+    g is a 1-based image tuple; basis holds one (image, sign) per basis
+    index, the identity by default.  Both are bijections on the flats.
+    """
     g = check_permutation(g, t.order)
+    basis = tuple((b, 1) for b in range(t.dim)) if basis is None else tuple(basis)
+    if sorted(b for b, _ in basis) != list(range(t.dim)) or {s for _, s in basis} - {1, -1}:
+        raise InvalidInputError(f"basis map must be a signed permutation of 0..{t.dim - 1}")
     # new[a] = old[a o g]: the old index digit at slot j lands in slot g(j)
     weight = slot_weights(t.dim, t.order)
-    moved = sorted(
-        (sum((flat // w) % t.dim * weight[i - 1] for w, i in zip(weight, g)), value)
-        for flat, value in t.support
-    )
-    return Tensor(t.n, t.dim, tuple(moved))
+    moved = []
+    for flat, value in t.support:
+        new = 0
+        for w, i in zip(weight, g):
+            b, sign = basis[flat // w % t.dim]
+            new += b * weight[i - 1]
+            value *= sign
+        moved.append((new, value))
+    return Tensor(t.n, t.dim, tuple(sorted(moved)))
 
 
 @lru_cache(maxsize=None)
-def _supports(n: int, flavor: str, k: int):
-    space = BilinearSpace(flavor, k)
+def _pairing_tensors(n: int, space: BilinearSpace):
     check_brute_force_budget(n, space.dim)
-    pairs = tuple(pairing_supports(p, space) for p in enumerate_pairings(n))
-    return tuple(f for f, _ in pairs), tuple(d for _, d in pairs)
-
-
-def form_supports(n: int, space: BilinearSpace):
-    """Supports of the form tensors of all n-pairings, in enumeration order."""
-    return _supports(n, space.flavor, space.k)[0]
-
-
-def diagonal_supports(n: int, space: BilinearSpace):
-    """Supports of the diagonal multivectors of all n-pairings."""
-    return _supports(n, space.flavor, space.k)[1]
+    pairs = [pairing_supports(p, space) for p in enumerate_pairings(n)]
+    # (form tensors, diagonal multivectors), each in enumeration order
+    return tuple(tuple(Tensor(n, space.dim, s) for s in kind) for kind in zip(*pairs))
 
 
 def all_form_tensors(n: int, space: BilinearSpace):
-    return tuple(Tensor(n, space.dim, s) for s in form_supports(n, space))
+    """The form tensors of all n-pairings in enumeration order, built once."""
+    return _pairing_tensors(n, space)[0]
 
 
 def all_diagonal_multivectors(n: int, space: BilinearSpace):
-    return tuple(Tensor(n, space.dim, s) for s in diagonal_supports(n, space))
+    """The diagonal multivectors of all n-pairings in enumeration order, built once."""
+    return _pairing_tensors(n, space)[1]
+
+
+def form_combination(v: PairingVector, space: BilinearSpace) -> Tensor:
+    """sum c_P * T_P over the form tensors, c the coordinates of v.
+
+    Adds integers over the coordinates' common denominator and stores one
+    shared value per distinct total (an int if the denominator is 1).
+    """
+    den = lcm(*(c.denominator for c in v.coords))
+    acc = {}
+    for c, form in zip(v.coords, all_form_tensors(v.n, space)):
+        if not c:
+            continue
+        scale = c.numerator * (den // c.denominator)
+        for flat, value in form.support:
+            acc[flat] = acc.get(flat, 0) + scale * value
+    values, support = {}, []
+    for flat in sorted(acc):
+        total = acc[flat]
+        if total:
+            value = values.get(total)
+            if value is None:
+                value = values[total] = Fraction(total, den) if den > 1 else total
+            support.append((flat, value))
+    return Tensor(v.n, space.dim, tuple(support))
+
+
+def diagonal_row(t: Tensor, space: BilinearSpace) -> tuple:
+    """Contractions of t against the diagonal multivector of every t.n-pairing."""
+    if t.dim != space.dim:
+        raise InvalidInputError(f"tensor has dim {t.dim}, the space has dim {space.dim}")
+    coeffs = SupportMap(t.support)
+    return tuple(
+        contract_support(coeffs, d.support) for d in all_diagonal_multivectors(t.n, space)
+    )
 
 
 def diagonal_insertion_matrix(n: int, space: BilinearSpace):
@@ -271,11 +319,7 @@ def diagonal_insertion_matrix(n: int, space: BilinearSpace):
     each diagonal.  Never consults the loop matrix, so comparing the two
     is a genuine dual-route check.
     """
-    diags = diagonal_supports(n, space)
-    return tuple(
-        tuple(contract_support(form, d) for d in diags)
-        for form in map(SupportMap, form_supports(n, space))
-    )
+    return tuple(diagonal_row(form, space) for form in all_form_tensors(n, space))
 
 
 def invariant_map_rank(n: int, space: BilinearSpace):
@@ -287,7 +331,7 @@ def invariant_map_rank(n: int, space: BilinearSpace):
     the linear combinations of pairings whose tensors cancel.  One
     elimination gives both: the rank is (2n-1)!! less the kernel dimension.
     """
-    supports = form_supports(n, space)
+    supports = [form.support for form in all_form_tensors(n, space)]
     columns = sorted({flat for support in supports for flat, _ in support})
     rows = [[row[flat] for flat in columns] for row in map(SupportMap, supports)]
     kernel = [PairingVector(n, combo) for combo in linalg.left_kernel(rows)]

@@ -272,6 +272,13 @@ def test_error_lines_name_the_argument(capsys, tmp_path, argv, line):
     assert (code, out, err) == (2, "", line + "\n")
 
 
+def test_trade_n_0_is_named_before_the_vector_length(capsys, tmp_path):
+    f = tmp_path / "three.json"
+    f.write_text('["1", "2", "3"]')
+    argv = ("trade", "--n", "0", "--flavor", "orthogonal", "--k", "1", "--contractions", str(f))
+    assert run_cli(capsys, *argv) == (2, "", "error: n must be >= 1, got 0\n")
+
+
 def test_graphs_contract(capsys, tmp_path):
     graph = {
         "vertices": [{"genus": 0, "class": [1]}, {"genus": 0, "class": [2]}],

@@ -118,6 +118,13 @@ def test_class_coords_refuses_non_rationals(cls):
         load_model("p2").class_coords(cls)
 
 
+def test_class_coords_refuses_floats():
+    ring = load_model("p2")
+    with pytest.raises(InvalidInputError, match="rationals in model p2, got \\(0.1, 0, 0\\)"):
+        ring.class_coords((0.1, 0, 0))
+    assert ring.class_coords((1, Fraction(1, 10), "-3/7")) == (1, Fraction(1, 10), Fraction(-3, 7))
+
+
 def test_p2_diagonal():
     ring = load_model("p2")
     pairs = kunneth_diagonal(ring)

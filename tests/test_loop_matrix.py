@@ -56,6 +56,19 @@ def test_pairing_vector_validation():
     assert v.scale(Fraction(1, 2)).coords == (Fraction(1, 2), 1, Fraction(3, 2))
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_pairing_vector_refuses_n_below_1(n):
+    with pytest.raises(InvalidInputError, match=f"n must be >= 1, got {n}"):
+        PairingVector(n, (1,))
+
+
+def test_pairing_vector_refuses_floats():
+    with pytest.raises(InvalidInputError, match="n=2 .*float 0.1"):
+        PairingVector(2, (0.1, 0, 0))
+    v = PairingVector(2, (1, Fraction(1, 10), "-3/7"))
+    assert v.coords == (1, Fraction(1, 10), Fraction(-3, 7))
+
+
 def test_collision_detection():
     # at x0 = 0 both blocks of n=2 have eigenvalue 0
     with pytest.raises(EigenvalueCollisionError) as info:

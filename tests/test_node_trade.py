@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from nodaltrade.loop_matrix import (
 )
 from nodaltrade.node_trade import (
     InvariantTensor,
+    _monomial_generators,
     contract_with_all_diagonals,
     inadmissible_residual,
     primitive_insertion_pairs,
@@ -22,7 +24,7 @@ from nodaltrade.node_trade import (
     spot_check_invariance,
 )
 from nodaltrade.pairings import double_factorial_odd, enumerate_pairings
-from nodaltrade.tensor_oracle import BilinearSpace, form_tensor
+from nodaltrade.tensor_oracle import BilinearSpace, Tensor, form_tensor
 
 
 def test_odd_insertions_refused():
@@ -259,3 +261,45 @@ def test_brute_force_budget_on_every_entry_point():
         InvariantTensor.from_coordinates(1, wide, (1,))
     with pytest.raises(ResourceLimitError, match="dim <= 6"):
         recover(PairingVector(1, (1,)), 1, wide)
+
+
+def _dense_fixed_by_generators(tensor, space):
+    """Reference for spot_check_invariance on the dense view: every index,
+    decoded with itertools.product, against its image under each generator."""
+    coeffs = tensor.coeffs
+    for mapping in _monomial_generators(space):
+        for flat, index in enumerate(itertools.product(range(space.dim), repeat=tensor.order)):
+            image, sign = 0, 1
+            for a in index:
+                b, s = mapping[a]
+                image = image * space.dim + b
+                sign *= s
+            if coeffs[image] * sign != coeffs[flat]:
+                return False
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cell=st.sampled_from(
+        [("orthogonal", k) for k in (1, 2, 3, 4)] + [("symplectic", k) for k in (1, 2)]
+    ),
+    n=st.integers(1, 2),
+    data=st.data(),
+)
+def test_spot_check_matches_a_dense_reference(cell, n, data):
+    # an invariant tensor, a random support, or an invariant tensor with a
+    # few entries overwritten, so both answers occur
+    space = BilinearSpace(*cell)
+    size = double_factorial_odd(n)
+    entries = {}
+    if data.draw(st.booleans()):
+        coords = data.draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+        entries.update(InvariantTensor.from_coordinates(n, space, coords).tensor.support)
+    entries.update(
+        data.draw(
+            st.dictionaries(st.integers(0, space.dim ** (2 * n) - 1), st.integers(-3, 3), max_size=3)
+        )
+    )
+    tensor = Tensor(n, space.dim, tuple(sorted((f, v) for f, v in entries.items() if v)))
+    assert spot_check_invariance(tensor, space) == _dense_fixed_by_generators(tensor, space)

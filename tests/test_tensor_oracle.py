@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodaltrade.errors import InvalidInputError, ResourceLimitError
 from nodaltrade.linalg import rank
@@ -14,15 +16,13 @@ from nodaltrade.loop_matrix import admissible_partitions
 from nodaltrade.tensor_oracle import (
     BilinearSpace,
     Tensor,
-    _supports,
+    _pairing_tensors,
     all_diagonal_multivectors,
     all_form_tensors,
     contract,
     contract_support,
     diagonal_insertion_matrix,
     diagonal_multivector,
-    diagonal_supports,
-    form_supports,
     form_tensor,
     invariant_map_rank,
     permute_slots,
@@ -205,19 +205,16 @@ def test_dense_tensors_are_their_supports():
     for n in (1, 2, 3):
         for flavor, k in CELLS:
             space = BilinearSpace(flavor, k)
-            for dense, support in (
-                *zip(all_form_tensors(n, space), form_supports(n, space)),
-                *zip(all_diagonal_multivectors(n, space), diagonal_supports(n, space)),
-            ):
+            for dense in (*all_form_tensors(n, space), *all_diagonal_multivectors(n, space)):
                 nonzero = tuple((flat, c) for flat, c in enumerate(dense.coeffs) if c)
-                assert nonzero == support
-                assert len(support) == space.dim ** n
+                assert nonzero == dense.support
+                assert len(dense.support) == space.dim ** n
 
 
 def test_building_tensors_leaves_no_reference_cycles():
     # a self-referencing helper would keep every dense array alive until
     # the cyclic collector runs
-    _supports.cache_clear()
+    _pairing_tensors.cache_clear()
     gc.collect()
     gc.disable()
     try:
@@ -367,3 +364,37 @@ def test_contract_bilinearity_random():
         assert contract(scaled, c) == lam * contract(a, c) + contract(b, c)
         scaled2 = dense_tensor(2, space.dim, tuple(lam * x + y for x, y in zip(b.coeffs, c.coeffs)))
         assert contract(a, scaled2) == lam * contract(a, b) + contract(a, c)
+
+
+def test_permute_slots_refuses_a_basis_map_that_is_no_signed_permutation():
+    t = Tensor(1, 2, ((1, 1),))
+    for basis in (((0, 1), (0, 1)), ((0, 1), (1, 2)), ((0, 1),)):
+        with pytest.raises(InvalidInputError, match="signed permutation"):
+            permute_slots(t, (1, 2), basis)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 2), dim=st.integers(1, 4), data=st.data())
+def test_signed_basis_map_then_its_inverse_returns_the_tensor(n, dim, data):
+    order = 2 * n
+    entries = data.draw(
+        st.dictionaries(
+            st.integers(0, dim**order - 1),
+            st.fractions(min_value=-5, max_value=5, max_denominator=4),
+            max_size=12,
+        )
+    )
+    t = Tensor(n, dim, tuple(sorted((flat, c) for flat, c in entries.items() if c)))
+    images = data.draw(st.permutations(range(dim)))
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=dim, max_size=dim))
+    g = tuple(data.draw(st.permutations(range(1, order + 1))))
+    basis = tuple(zip(images, signs))
+    inverse_basis = [None] * dim
+    for b, (image, sign) in enumerate(basis):
+        inverse_basis[image] = (b, sign)
+    inverse_g = [0] * order
+    for i, image in enumerate(g, start=1):
+        inverse_g[image - 1] = i
+    moved = permute_slots(t, g, basis)
+    assert permute_slots(moved, inverse_g, inverse_basis) == t
+    assert permute_slots(t, range(1, order + 1)) == t
