@@ -1,6 +1,7 @@
 """Exact-arithmetic engine for trading primitive insertions against nodes.
 
 Submodules:
+  frozen         the slotted immutable base of the value classes
   partitions     partitions, hook dimensions, content products
   pairings       n-pairings, crossings, loop numbers, group action
   linalg         exact rational elimination, ranks, kernels

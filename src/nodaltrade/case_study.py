@@ -12,7 +12,6 @@ mechanism in the smallest odd-cohomology model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cohomology import (
@@ -28,6 +27,7 @@ from .errors import (
     UnsupportedCaseError,
     VerificationError,
 )
+from .frozen import Frozen
 from .loop_matrix import PairingVector
 from .node_trade import recover
 from .plane_counts import (
@@ -455,22 +455,23 @@ def compute_contribution(case_id: str, table: OracleTable | None = None):
     return _contribution(case_id, enumerate_cases()[case_id], oracle, recorder)
 
 
-@dataclass(frozen=True)
-class CaseReport:
-    lhs: Fraction
-    contributions: dict
-    rhs_total: Fraction
-    agreement: bool
-    breakdowns: dict = field(default_factory=dict, compare=False)
-    lhs_breakdown: dict = field(default_factory=dict, compare=False)
+class CaseReport(Frozen, uncompared=("breakdowns", "lhs_breakdown")):
+    __slots__ = ("lhs", "contributions", "rhs_total", "agreement", "breakdowns", "lhs_breakdown")
 
-    def __post_init__(self):
-        if self.rhs_total != sum(self.contributions.values(), Fraction(0)):
+    def __init__(
+        self, lhs, contributions, rhs_total, agreement, breakdowns=None, lhs_breakdown=None
+    ):
+        total = sum(contributions.values(), Fraction(0))
+        if rhs_total != total:
             raise VerificationError(
-                "report total does not match its own contributions",
-                lhs=self.rhs_total,
-                rhs=sum(self.contributions.values(), Fraction(0)),
+                "report total does not match its own contributions", lhs=rhs_total, rhs=total
             )
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "contributions", contributions)
+        object.__setattr__(self, "rhs_total", rhs_total)
+        object.__setattr__(self, "agreement", agreement)
+        object.__setattr__(self, "breakdowns", {} if breakdowns is None else breakdowns)
+        object.__setattr__(self, "lhs_breakdown", {} if lhs_breakdown is None else lhs_breakdown)
 
 
 def compute_rhs_total(table: OracleTable | None = None) -> CaseReport:

@@ -11,7 +11,6 @@ them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -19,6 +18,7 @@ from types import MappingProxyType
 
 from . import linalg
 from .errors import InvalidInputError, InvalidModelError, UnsupportedCaseError
+from .frozen import Frozen
 from .rationals import as_rational, format_rational, parse_rational
 
 
@@ -29,31 +29,47 @@ def _join_terms(terms) -> str:
     return terms[0] + "".join(t if t.startswith("-") else "+" + t for t in terms[1:])
 
 
-@dataclass(frozen=True)
-class CohRing:
+class CohRing(Frozen, derived=("duals",)):
     """A finite model of a cohomology ring with Poincare pairing.
 
     The dual basis is fixed at construction: `duals[j]` is the class with
     pair(delta_i, duals[j]) = kronecker(i, j).
     """
 
-    name: str
-    labels: tuple[str, ...]
-    degrees: tuple[int, ...]
-    pairing: tuple[tuple[Fraction, ...], ...]
-    curve_labels: tuple[str, ...] | None = None
-    intersection_matrix: tuple[tuple[Fraction, ...], ...] | None = None
-    divisor_lattice: MappingProxyType | None = None  # basis label -> curve-lattice vector
-    duals: tuple[tuple[Fraction, ...], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = (
+        "name",
+        "labels",
+        "degrees",
+        "pairing",
+        "curve_labels",
+        "intersection_matrix",
+        "divisor_lattice",  # basis label -> curve-lattice vector, read-only
+        "duals",
+    )
 
-    def __post_init__(self):
-        size = len(self.labels)
-        if len(self.degrees) != size or len(self.pairing) != size:
-            raise InvalidModelError(f"model {self.name}: inconsistent basis data")
-        if any(len(row) != size for row in self.pairing):
+    def __init__(
+        self,
+        name,
+        labels,
+        degrees,
+        pairing,
+        curve_labels=None,
+        intersection_matrix=None,
+        divisor_lattice=None,
+    ):
+        size = len(labels)
+        if len(degrees) != size or len(pairing) != size:
+            raise InvalidModelError(f"model {name}: inconsistent basis data")
+        if any(len(row) != size for row in pairing):
             raise InvalidModelError(
-                f"model {self.name}: pairing must be {size} x {size}, one entry per basis label"
+                f"model {name}: pairing must be {size} x {size}, one entry per basis label"
             )
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "pairing", pairing)
+        object.__setattr__(self, "curve_labels", curve_labels)
+        object.__setattr__(self, "intersection_matrix", intersection_matrix)
         # one kernel of [G | -I] both proves G nonsingular and inverts it: its
         # basis vector with free part e_j is (G^-1 e_j, e_j)
         augmented = [
@@ -64,10 +80,9 @@ class CohRing:
         if [v[size:] for v in kernel] != [self.basis_vector(j) for j in range(size)]:
             raise InvalidModelError(f"model {self.name}: pairing is singular")
         object.__setattr__(self, "duals", tuple(v[:size] for v in kernel))
-        if self.divisor_lattice is not None:
-            object.__setattr__(
-                self, "divisor_lattice", MappingProxyType(dict(self.divisor_lattice))
-            )
+        if divisor_lattice is not None:
+            divisor_lattice = MappingProxyType(dict(divisor_lattice))
+        object.__setattr__(self, "divisor_lattice", divisor_lattice)
         top = self.top_degree
         for i in range(size):
             for j in range(size):
@@ -240,20 +255,24 @@ def kunneth_diagonal(ring: CohRing) -> list[tuple[tuple, tuple]]:
     return [(ring.basis_vector(j), dual) for j, dual in enumerate(ring.duals)]
 
 
-@dataclass(frozen=True)
-class Insertion:
-    coords: tuple[Fraction, ...]
-    psi: int = 0
+class Insertion(Frozen):
+    __slots__ = ("coords", "psi")
+
+    def __init__(self, coords, psi=0):
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "psi", psi)
 
 
-@dataclass(frozen=True)
-class InsertionList:
+class InsertionList(Frozen):
     """An invariant's bookkeeping data: insertions, class, genus, nodes."""
 
-    genus: int
-    curve_class: tuple
-    insertions: tuple[Insertion, ...]
-    nodes: int = 0
+    __slots__ = ("genus", "curve_class", "insertions", "nodes")
+
+    def __init__(self, genus, curve_class, insertions, nodes=0):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "curve_class", curve_class)
+        object.__setattr__(self, "insertions", insertions)
+        object.__setattr__(self, "nodes", nodes)
 
 
 def make_insertions(ring: CohRing, classes, psis=None) -> tuple[Insertion, ...]:
@@ -302,10 +321,7 @@ def divisor_reduce(term: InsertionList, divisor, ring: CohRing):
                     "divisor equation with a psi power is out of scope"
                 )
             factor = ring.intersect(term.curve_class, coords)
-            reduced = replace(
-                term,
-                insertions=term.insertions[:idx] + term.insertions[idx + 1 :],
-            )
+            reduced = term.replace(insertions=term.insertions[:idx] + term.insertions[idx + 1 :])
             return factor, reduced
     raise InvalidInputError(
         f"no psi-free insertion of class {ring.label_of(coords)} to remove"

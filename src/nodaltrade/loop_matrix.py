@@ -10,7 +10,6 @@ solver inverts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -22,6 +21,7 @@ from .errors import (
     SubspaceError,
 )
 from .pairings import double_factorial_odd, enumerate_pairings, loop_number
+from .frozen import Frozen
 from .partitions import Partition, content_product, even_row_partitions, hook_dimension
 from .rationals import as_rational
 
@@ -66,12 +66,10 @@ def admissible_partitions(n: int, flavor: str, k: int) -> list[Partition]:
     return [lam for lam in even_row_partitions(2 * n) if is_admissible(flavor, k, lam)]
 
 
-@dataclass(frozen=True)
-class PairingVector:
+class PairingVector(Frozen):
     """Exact-rational coordinates over the canonical pairing basis."""
 
-    n: int
-    coords: tuple[Fraction, ...]
+    __slots__ = ("n", "coords")
 
     def __init__(self, n, coords):
         if n < 1:
@@ -99,7 +97,10 @@ class PairingVector:
         return PairingVector(self.n, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def scale(self, c) -> "PairingVector":
-        c = Fraction(c)
+        try:
+            c = as_rational(c)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InvalidInputError(f"scale factor must be a rational: {exc}") from exc
         return PairingVector(self.n, tuple(c * a for a in self.coords))
 
     def is_zero(self) -> bool:
@@ -113,13 +114,15 @@ class PairingVector:
         return self.coords
 
 
-@dataclass(frozen=True)
-class LoopMatrix:
+class LoopMatrix(Frozen):
     """The square matrix with entries x^L(P, P') over the pairing basis."""
 
-    n: int
-    x: Fraction
-    entries: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("n", "x", "entries")
+
+    def __init__(self, n, x, entries):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def size(self) -> int:

@@ -9,9 +9,8 @@ through the form tensors.  `tensor_oracle` owns the tensor format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InconsistentDataError, InvalidInputError, SubspaceError
+from .frozen import Frozen
 from .loop_matrix import PairingVector, project_invariant, restricted_inverse_apply
 from .tensor_oracle import (
     BilinearSpace,
@@ -39,8 +38,7 @@ def primitive_insertion_pairs(a: int) -> int:
     return a // 2
 
 
-@dataclass(frozen=True)
-class InvariantTensor:
+class InvariantTensor(Frozen):
     """An invariant tensor together with pairing-basis coordinates.
 
     The tensor always equals the expansion of `coordinates` through the
@@ -48,10 +46,13 @@ class InvariantTensor:
     hence in the invariant subspace.
     """
 
-    n: int
-    space: BilinearSpace
-    tensor: Tensor
-    coordinates: PairingVector
+    __slots__ = ("n", "space", "tensor", "coordinates")
+
+    def __init__(self, n, space, tensor, coordinates):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "tensor", tensor)
+        object.__setattr__(self, "coordinates", coordinates)
 
     @staticmethod
     def from_coordinates(n: int, space: BilinearSpace, coords) -> "InvariantTensor":

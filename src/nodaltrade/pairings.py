@@ -9,10 +9,10 @@ used by every module downstream.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidInputError, ResourceLimitError
+from .frozen import Frozen
 
 DEFAULT_MAX_N = 5
 _ENV_MAX_N = "NODAL_TRADE_MAX_N"
@@ -51,11 +51,10 @@ def double_factorial_odd(n: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class Pairing:
+class Pairing(Frozen):
     """A fixed-point-free involution on {1..2n} in canonical pair form."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("pairs",)
 
     def __init__(self, pairs):
         canon = tuple(sorted((min(a, b), max(a, b)) for a, b in pairs))

@@ -7,21 +7,20 @@ and their content products give the loop-matrix eigenvalues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .errors import InvalidInputError
+from .frozen import Frozen
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Frozen):
     """A weakly decreasing sequence of positive integers.
 
     The empty partition (of 0) is allowed and has no parts.
     """
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
     def __init__(self, parts):
         parts = tuple(int(p) for p in parts)

@@ -9,13 +9,13 @@ at this scale ship as tabled data, each entry with a provenance note.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from math import comb
 
 from .errors import InvalidInputError, InvalidModelError, MissingDataError, ResourceLimitError
+from .frozen import Frozen
 from .rationals import parse_rational
 
 # The recursion nests d calls deep, so the ceiling stays well inside the
@@ -74,11 +74,13 @@ def pencil_reducible_count(chi_surface: int, num_basepoints: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class OracleTable:
+class OracleTable(Frozen):
     """String-keyed exact rationals, each with a provenance note."""
 
-    entries: dict = field(default_factory=dict)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries=None):
+        object.__setattr__(self, "entries", {} if entries is None else entries)
 
     def with_entry(self, key: str, value, provenance: str) -> "OracleTable":
         new = dict(self.entries)

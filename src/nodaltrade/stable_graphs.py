@@ -12,55 +12,55 @@ and the bundle of parent-edge placements drawn as one case.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import InvalidInputError, ResourceLimitError
 from .cohomology import kunneth_diagonal, kunneth_reorder_sign
+from .frozen import Frozen
 
 INTERIOR = "interior"
 RELATIVE = "relative"
 SHAPE_BOUND = 2  # most vertices a split option may put on one side
 
 
-@dataclass(frozen=True)
-class Vertex:
-    genus: int
-    cls: tuple[int, ...]
+class Vertex(Frozen):
+    __slots__ = ("genus", "cls")
 
-    def __post_init__(self):
-        if self.genus < 0:
-            raise InvalidInputError(f"genus must be >= 0, got {self.genus}")
+    def __init__(self, genus, cls):
+        if genus < 0:
+            raise InvalidInputError(f"genus must be >= 0, got {genus}")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "cls", cls)
 
 
-@dataclass(frozen=True)
-class Leg:
-    vertex: int
-    marking: object
-    kind: str = INTERIOR
-    multiplicity: int | None = None
+class Leg(Frozen):
+    __slots__ = ("vertex", "marking", "kind", "multiplicity")
 
-    def __post_init__(self):
-        if self.kind not in (INTERIOR, RELATIVE):
-            raise InvalidInputError(f"unknown leg kind {self.kind!r}")
-        if self.kind == RELATIVE and (self.multiplicity is None or self.multiplicity < 1):
+    def __init__(self, vertex, marking, kind=INTERIOR, multiplicity=None):
+        if kind not in (INTERIOR, RELATIVE):
+            raise InvalidInputError(f"unknown leg kind {kind!r}")
+        if kind == RELATIVE and (multiplicity is None or multiplicity < 1):
             raise InvalidInputError("relative legs need a positive multiplicity")
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "marking", marking)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "multiplicity", multiplicity)
 
 
-@dataclass(frozen=True)
-class StableGraph:
-    vertices: tuple[Vertex, ...]
-    edges: tuple[tuple[int, int], ...]
-    legs: tuple[Leg, ...]
+class StableGraph(Frozen):
+    __slots__ = ("vertices", "edges", "legs")
 
-    def __post_init__(self):
-        nv = len(self.vertices)
-        for a, b in self.edges:
+    def __init__(self, vertices, edges, legs):
+        nv = len(vertices)
+        for a, b in edges:
             if not (0 <= a < nv and 0 <= b < nv):
                 raise InvalidInputError(f"edge ({a},{b}) out of vertex range")
-        for leg in self.legs:
+        for leg in legs:
             if not 0 <= leg.vertex < nv:
                 raise InvalidInputError(f"leg {leg.marking} attached out of range")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "legs", legs)
 
     def valence(self, v: int) -> int:
         ends = sum((1 if a == v else 0) + (1 if b == v else 0) for a, b in self.edges)
@@ -203,7 +203,7 @@ def contract_marked_edges(graph: StableGraph, marked: tuple[int, ...]) -> Stable
         for i, (a, b) in enumerate(graph.edges)
         if i not in marked_set
     )
-    new_legs = tuple(replace(l, vertex=index_of[l.vertex]) for l in graph.legs)
+    new_legs = tuple(l.replace(vertex=index_of[l.vertex]) for l in graph.legs)
     return StableGraph(tuple(new_vertices), kept_edges, new_legs)
 
 
@@ -234,25 +234,28 @@ def graph_isomorphic(g1: StableGraph, g2: StableGraph) -> bool:
 # -- splitting enumeration ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SideVertexSpec:
+class SideVertexSpec(Frozen):
     """One vertex of a splitting side: class plus its contact multiplicities."""
 
-    cls: tuple[int, ...]
-    contacts: tuple[int, ...]
-    genus: int = 0
+    __slots__ = ("cls", "contacts", "genus")
+
+    def __init__(self, cls, contacts, genus=0):
+        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "contacts", contacts)
+        object.__setattr__(self, "genus", genus)
 
 
-@dataclass(frozen=True)
-class SplitOption:
+class SplitOption(Frozen):
     """One admissible class decomposition from the scenario's splitter."""
 
-    side1: tuple[SideVertexSpec, ...]
-    side2: tuple[SideVertexSpec, ...]
+    __slots__ = ("side1", "side2")
+
+    def __init__(self, side1, side2):
+        object.__setattr__(self, "side1", side1)
+        object.__setattr__(self, "side2", side2)
 
 
-@dataclass(frozen=True)
-class DegenerationScenario:
+class DegenerationScenario(Frozen):
     """Scenario data for enumerating splittings of a one-vertex parent.
 
     options(parent_class) yields the admissible class decompositions with
@@ -260,15 +263,17 @@ class DegenerationScenario:
     lattice; legs are pre-assigned to sides (marking -> 1 or 2).
     """
 
-    name: str
-    options: object  # callable: parent class -> iterable of SplitOption
-    push1: object  # callable: side-1 class -> parent-lattice class
-    push2: object
-    leg_side: dict
+    __slots__ = ("name", "options", "push1", "push2", "leg_side")
+
+    def __init__(self, name, options, push1, push2, leg_side):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "options", options)  # parent class -> iterable of SplitOption
+        object.__setattr__(self, "push1", push1)  # side-1 class -> parent-lattice class
+        object.__setattr__(self, "push2", push2)
+        object.__setattr__(self, "leg_side", leg_side)
 
 
-@dataclass(frozen=True)
-class Splitting:
+class Splitting(Frozen):
     """A splitting case: ordered pair of relative graphs plus its bundle.
 
     `variants` lists the concrete (gamma1, gamma2) pairs bundled into the
@@ -277,18 +282,21 @@ class Splitting:
     relative legs, identical across the bundle.
     """
 
-    gamma1: StableGraph
-    gamma2: StableGraph
-    variants: tuple[tuple[StableGraph, StableGraph], ...]
-    ell: int
-    m: int
-    aut: int
-    signature: str
+    __slots__ = ("gamma1", "gamma2", "variants", "ell", "m", "aut", "signature")
+
+    def __init__(self, gamma1, gamma2, variants, ell, m, aut, signature):
+        object.__setattr__(self, "gamma1", gamma1)
+        object.__setattr__(self, "gamma2", gamma2)
+        object.__setattr__(self, "variants", variants)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "aut", aut)
+        object.__setattr__(self, "signature", signature)
 
 
 def _relabel_relative(graph: StableGraph, perm: dict) -> StableGraph:
     legs = tuple(
-        replace(l, marking=perm[l.marking]) if l.kind == RELATIVE else l
+        l.replace(marking=perm[l.marking]) if l.kind == RELATIVE else l
         for l in graph.legs
     )
     return StableGraph(graph.vertices, graph.edges, legs)
@@ -330,7 +338,7 @@ def _reglue(gamma1: StableGraph, gamma2: StableGraph, scenario) -> StableGraph:
         if l.kind == RELATIVE:
             rel2[l.marking] = l.vertex + offset
         else:
-            legs.append(replace(l, vertex=l.vertex + offset))
+            legs.append(l.replace(vertex=l.vertex + offset))
     if sorted(rel1) != sorted(rel2):
         raise InvalidInputError("relative legs of the two sides do not match up")
     new_edge_indices = []

@@ -12,15 +12,15 @@ routes independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm, prod
-from operator import itemgetter, lt, mul
+from operator import mul
 
 from . import linalg
 from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
+from .frozen import Frozen
 from .loop_matrix import ORTHOGONAL, PairingVector, admissible_partitions, flavor_dimension
 from .pairings import Pairing, check_permutation, crossing_number, enumerate_pairings
 from .partitions import hook_dimension
@@ -30,8 +30,7 @@ BRUTE_FORCE_MAX_DIM = 6
 DENSE_COEFF_LIMIT = 4096
 
 
-@dataclass(frozen=True)
-class BilinearSpace:
+class BilinearSpace(Frozen):
     """A model space with the standard orthogonal or symplectic form.
 
     dim = k for the orthogonal flavor (orthonormal basis, identity form)
@@ -39,11 +38,12 @@ class BilinearSpace:
     with form(e_mu, f_mu) = 1).
     """
 
-    flavor: str
-    k: int
+    __slots__ = ("flavor", "k")
 
-    def __post_init__(self):
-        flavor_dimension(self.flavor, self.k)
+    def __init__(self, flavor, k):
+        flavor_dimension(flavor, k)
+        object.__setattr__(self, "flavor", flavor)
+        object.__setattr__(self, "k", k)
 
     @property
     def dim(self) -> int:
@@ -70,8 +70,7 @@ class BilinearSpace:
         return tuple(tuple(-x for x in row) for row in self.form)
 
 
-@dataclass(frozen=True)
-class Tensor:
+class Tensor(Frozen):
     """Order-2n tensor stored as its support.
 
     The support is the tuple of (flat, value) pairs of the nonzero
@@ -83,21 +82,26 @@ class Tensor:
     brute force and shares no code with the loop matrix.
     """
 
-    n: int
-    dim: int
-    support: tuple
+    __slots__ = ("n", "dim", "support")
+
+    def __init__(self, n, dim, support):
+        size = dim ** (2 * n)
+        last = -1
+        for flat, value in support:
+            if not last < flat < size:
+                raise InvalidInputError(f"support flats must strictly increase within 0..{size - 1}")
+            if value.__class__ is not int and value.__class__ is not Fraction:
+                raise InvalidInputError(f"support value {value!r} at flat {flat} is not an int or Fraction")
+            if not value:
+                raise InvalidInputError("support holds a zero value")
+            last = flat
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "support", support)
 
     @property
     def order(self) -> int:
         return 2 * self.n
-
-    def __post_init__(self):
-        size = self.dim ** self.order
-        flats = [*map(itemgetter(0), self.support), size]
-        if flats[0] < 0 or not all(map(lt, flats, flats[1:])):
-            raise InvalidInputError(f"support flats must strictly increase within 0..{size - 1}")
-        if not all(map(itemgetter(1), self.support)):
-            raise InvalidInputError("support holds a zero value")
 
     @property
     def coeffs(self) -> tuple:

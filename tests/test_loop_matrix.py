@@ -69,6 +69,13 @@ def test_pairing_vector_refuses_floats():
     assert v.coords == (1, Fraction(1, 10), Fraction(-3, 7))
 
 
+def test_pairing_vector_scale_refuses_floats():
+    v = PairingVector(2, (1, 2, 3))
+    with pytest.raises(InvalidInputError, match="scale factor .*float 0.1"):
+        v.scale(0.1)
+    assert v.scale("1/10").coords == (Fraction(1, 10), Fraction(1, 5), Fraction(3, 10))
+
+
 def test_collision_detection():
     # at x0 = 0 both blocks of n=2 have eigenvalue 0
     with pytest.raises(EigenvalueCollisionError) as info:

@@ -235,8 +235,9 @@ def test_building_tensors_leaves_no_reference_cycles():
         (((-1, 1),), "within 0..15"),
         (((16, 1),), "within 0..15"),
         (((0, 1), (5, Fraction(0))), "zero value"),
+        (((0, 1), (5, 0.5)), "0.5 at flat 5 is not an int or Fraction"),
     ],
-    ids=["unsorted", "repeated-flat", "negative-flat", "flat-past-end", "zero-value"],
+    ids=["unsorted", "repeated-flat", "negative-flat", "flat-past-end", "zero-value", "float-value"],
 )
 def test_tensor_rejects_malformed_support(support, fragment):
     with pytest.raises(InvalidInputError, match=fragment):
