@@ -466,12 +466,14 @@ class CaseReport(Frozen, uncompared=("breakdowns", "lhs_breakdown")):
             raise VerificationError(
                 "report total does not match its own contributions", lhs=rhs_total, rhs=total
             )
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "contributions", contributions)
-        object.__setattr__(self, "rhs_total", rhs_total)
-        object.__setattr__(self, "agreement", agreement)
-        object.__setattr__(self, "breakdowns", {} if breakdowns is None else breakdowns)
-        object.__setattr__(self, "lhs_breakdown", {} if lhs_breakdown is None else lhs_breakdown)
+        self._set(
+            lhs,
+            contributions,
+            rhs_total,
+            agreement,
+            {} if breakdowns is None else breakdowns,
+            {} if lhs_breakdown is None else lhs_breakdown,
+        )
 
 
 def compute_rhs_total(table: OracleTable | None = None) -> CaseReport:

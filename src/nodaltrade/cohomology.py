@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from types import MappingProxyType
 
 from . import linalg
@@ -204,6 +203,9 @@ class CohRing(Frozen, derived=("duals",)):
 
 @lru_cache(maxsize=None)
 def _bundled_models() -> dict:
+    # imported here: importlib.resources loads inspect on Python 3.12 and later
+    from importlib import resources
+
     with resources.files("nodaltrade.data").joinpath("models.json").open() as fh:
         return json.load(fh)
 
@@ -259,8 +261,7 @@ class Insertion(Frozen):
     __slots__ = ("coords", "psi")
 
     def __init__(self, coords, psi=0):
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "psi", psi)
+        self._set(coords, psi)
 
 
 class InsertionList(Frozen):
@@ -269,10 +270,7 @@ class InsertionList(Frozen):
     __slots__ = ("genus", "curve_class", "insertions", "nodes")
 
     def __init__(self, genus, curve_class, insertions, nodes=0):
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "curve_class", curve_class)
-        object.__setattr__(self, "insertions", insertions)
-        object.__setattr__(self, "nodes", nodes)
+        self._set(genus, curve_class, insertions, nodes)
 
 
 def make_insertions(ring: CohRing, classes, psis=None) -> tuple[Insertion, ...]:

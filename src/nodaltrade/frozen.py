@@ -1,10 +1,11 @@
 """The immutable base of the package's value classes.
 
-A subclass lists its fields in `__slots__` and sets each one in its own
-`__init__`, after its checks, with `object.__setattr__`.  The base derives
-equality, hashing and the repr from those fields, refuses assignment and
-deletion, and rebuilds changed copies through `__init__`, so every copy
-passes the same checks.
+A subclass lists its fields in `__slots__` and sets them in its own
+`__init__`, after its checks: all at once, in slot order, with `_set`, or
+one by one with `object.__setattr__` where the constructor is hot.  The
+base derives equality, hashing and the repr from those fields, refuses
+assignment and deletion, and rebuilds changed copies through `__init__`,
+so every copy passes the same checks.
 """
 
 from operator import attrgetter
@@ -23,7 +24,8 @@ class Frozen:
     Class keywords name fields by their role: `derived` ones are computed
     by `__init__` from the others and left out of the repr, the comparison
     and `replace`; `uncompared` ones are left out of equality and hashing
-    only.  A class with an unhashable compared field is unhashable.
+    only, which keeps the one user, `CaseReport`, comparing as it always
+    has.  A class with an unhashable compared field is unhashable.
     """
 
     __slots__ = ()
@@ -32,6 +34,10 @@ class Frozen:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(f for f in cls.__slots__ if f not in derived)
         cls._key = attrgetter(*(f for f in cls._fields if f not in uncompared))
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

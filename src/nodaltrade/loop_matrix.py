@@ -120,9 +120,7 @@ class LoopMatrix(Frozen):
     __slots__ = ("n", "x", "entries")
 
     def __init__(self, n, x, entries):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "entries", entries)
+        self._set(n, x, entries)
 
     @property
     def size(self) -> int:

@@ -49,10 +49,7 @@ class InvariantTensor(Frozen):
     __slots__ = ("n", "space", "tensor", "coordinates")
 
     def __init__(self, n, space, tensor, coordinates):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "tensor", tensor)
-        object.__setattr__(self, "coordinates", coordinates)
+        self._set(n, space, tensor, coordinates)
 
     @staticmethod
     def from_coordinates(n: int, space: BilinearSpace, coords) -> "InvariantTensor":

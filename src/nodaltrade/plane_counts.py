@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from math import comb
 
 from .errors import InvalidInputError, InvalidModelError, MissingDataError, ResourceLimitError
@@ -80,7 +79,7 @@ class OracleTable(Frozen):
     __slots__ = ("entries",)
 
     def __init__(self, entries=None):
-        object.__setattr__(self, "entries", {} if entries is None else entries)
+        self._set({} if entries is None else entries)
 
     def with_entry(self, key: str, value, provenance: str) -> "OracleTable":
         new = dict(self.entries)
@@ -107,6 +106,9 @@ def lookup_with_provenance(key: str, table: OracleTable | None = None):
 
 @lru_cache(maxsize=None)
 def bundled_table() -> OracleTable:
+    # imported here: importlib.resources loads inspect on Python 3.12 and later
+    from importlib import resources
+
     with resources.files("nodaltrade.data").joinpath("counts.json").open() as fh:
         raw = json.load(fh)
     entries = {

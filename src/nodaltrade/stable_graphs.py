@@ -240,9 +240,7 @@ class SideVertexSpec(Frozen):
     __slots__ = ("cls", "contacts", "genus")
 
     def __init__(self, cls, contacts, genus=0):
-        object.__setattr__(self, "cls", cls)
-        object.__setattr__(self, "contacts", contacts)
-        object.__setattr__(self, "genus", genus)
+        self._set(cls, contacts, genus)
 
 
 class SplitOption(Frozen):
@@ -251,8 +249,7 @@ class SplitOption(Frozen):
     __slots__ = ("side1", "side2")
 
     def __init__(self, side1, side2):
-        object.__setattr__(self, "side1", side1)
-        object.__setattr__(self, "side2", side2)
+        self._set(side1, side2)
 
 
 class DegenerationScenario(Frozen):
@@ -266,11 +263,9 @@ class DegenerationScenario(Frozen):
     __slots__ = ("name", "options", "push1", "push2", "leg_side")
 
     def __init__(self, name, options, push1, push2, leg_side):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "options", options)  # parent class -> iterable of SplitOption
-        object.__setattr__(self, "push1", push1)  # side-1 class -> parent-lattice class
-        object.__setattr__(self, "push2", push2)
-        object.__setattr__(self, "leg_side", leg_side)
+        # options: parent class -> iterable of SplitOption;
+        # push1: side-1 class -> parent-lattice class
+        self._set(name, options, push1, push2, leg_side)
 
 
 class Splitting(Frozen):
@@ -285,13 +280,7 @@ class Splitting(Frozen):
     __slots__ = ("gamma1", "gamma2", "variants", "ell", "m", "aut", "signature")
 
     def __init__(self, gamma1, gamma2, variants, ell, m, aut, signature):
-        object.__setattr__(self, "gamma1", gamma1)
-        object.__setattr__(self, "gamma2", gamma2)
-        object.__setattr__(self, "variants", variants)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "aut", aut)
-        object.__setattr__(self, "signature", signature)
+        self._set(gamma1, gamma2, variants, ell, m, aut, signature)
 
 
 def _relabel_relative(graph: StableGraph, perm: dict) -> StableGraph:
