@@ -5,13 +5,19 @@ eigenspaces are the isotypic blocks indexed by even-row partitions of 2n,
 with eigenvalue the content product of the half partition.  Specializing
 x to k (orthogonal flavor) or -2k (symplectic flavor) makes M invertible
 exactly on the flavor's invariant subspace, which is what the node-trade
-solver inverts.
+solver inverts.  The eigenblock bases come from the N x N matrix; the
+projections and the restricted inverse are computed in the p(n)-dimensional
+algebra of coset types that M belongs to (see the second half).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
+from math import lcm
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -20,9 +26,21 @@ from .errors import (
     InvalidInputError,
     SubspaceError,
 )
-from .pairings import double_factorial_odd, enumerate_pairings, loop_number
+from .pairings import (
+    act_permutation,
+    double_factorial_odd,
+    enumerate_pairings,
+    loop_number,
+    loop_type,
+)
 from .frozen import Frozen
-from .partitions import Partition, content_product, even_row_partitions, hook_dimension
+from .partitions import (
+    Partition,
+    all_partitions,
+    content_product,
+    even_row_partitions,
+    hook_dimension,
+)
 from .rationals import as_rational
 
 ORTHOGONAL = "orthogonal"
@@ -38,8 +56,14 @@ def check_flavor(flavor: str) -> str:
 
 
 def flavor_dimension(flavor: str, k: int) -> int:
-    """Model-space dimension: k for orthogonal, 2k for symplectic."""
+    """Model-space dimension: k for orthogonal, 2k for symplectic.
+
+    Every entry point that takes (flavor, k) checks them here: k counts
+    basis vectors or hyperbolic planes, so it must be an int >= 1.
+    """
     check_flavor(flavor)
+    if k.__class__ is not int:
+        raise InvalidInputError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
     return k if flavor == ORTHOGONAL else 2 * k
@@ -47,7 +71,7 @@ def flavor_dimension(flavor: str, k: int) -> int:
 
 def flavor_specialization(flavor: str, k: int) -> Fraction:
     """The loop-matrix specialization point: x = k or x = -2k."""
-    check_flavor(flavor)
+    flavor_dimension(flavor, k)
     return Fraction(k) if flavor == ORTHOGONAL else Fraction(-2 * k)
 
 
@@ -63,6 +87,7 @@ def is_admissible(flavor: str, k: int, lam: Partition) -> bool:
 
 
 def admissible_partitions(n: int, flavor: str, k: int) -> list[Partition]:
+    flavor_dimension(flavor, k)
     return [lam for lam in even_row_partitions(2 * n) if is_admissible(flavor, k, lam)]
 
 
@@ -208,84 +233,200 @@ def eigenspace_decomposition(n: int, x0=None) -> dict[Partition, list[PairingVec
     return blocks
 
 
-def invariant_subspace(n: int, flavor: str, k: int) -> list[PairingVector]:
-    """Concatenated eigenbases of the blocks admissible for the flavor."""
-    blocks = eigenspace_decomposition(n)
-    basis: list[PairingVector] = []
-    for lam in admissible_partitions(n, flavor, k):
-        basis.extend(blocks[lam])
-    return basis
+# -- the coset-type algebra -----------------------------------------------------
+#
+# M(n, x) = sum over mu of x^length(mu) A_mu, where A_mu is the 0/1 matrix of
+# the pairs (P, Q) whose glued loops have half-lengths mu, a partition of n
+# (the coset type of the Gelfand pair (S_2n, H_n)).  The A_mu span a
+# commutative algebra of dimension p(n) that holds every spectral projector
+# E_lambda and every restricted inverse, so those are stored as coefficient
+# vectors over types, indexed in `all_partitions(n)` order, and applied to v
+# through the buckets B_mu(P) = sum of v_Q over type(P, Q) = mu.
 
 
 @lru_cache(maxsize=None)
-def _projection_data(n: int):
+def _type_table(n: int) -> tuple[bytes, ...]:
+    """Row P: the index of the type of (P, Q) for every pairing Q.
+
+    Only the first row is traced loop by loop.  Relabeling both pairings
+    by a permutation keeps their type, and every adjacent transposition s
+    is an involution, so row(sP)[Q] = row(P)[sQ]: the other rows are
+    permuted copies, reached breadth first from the first.
+    """
+    ps = enumerate_pairings(n)
+    position = {p.pairs: i for i, p in enumerate(ps)}
+    types = {mu.parts: t for t, mu in enumerate(all_partitions(n))}
+    moves = []
+    for a in range(1, 2 * n):
+        swap = list(range(1, 2 * n + 1))
+        swap[a - 1], swap[a] = a + 1, a
+        moves.append([position[act_permutation(swap, p)[0].pairs] for p in ps])
+    rows = [None] * len(ps)
+    rows[0] = bytes(types[loop_type(ps[0], q)] for q in ps)
+    reached = [0]
+    for i in reached:
+        for move in moves:
+            j = move[i]
+            if rows[j] is None:
+                rows[j] = bytes(map(rows[i].__getitem__, move))
+                reached.append(j)
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _structure_constants(n: int) -> tuple[Counter, ...]:
+    """Entry rho counts the Q with (type(P0, Q), type(Q, Q_rho)) = (mu, nu).
+
+    P0 is the first pairing and Q_rho the first one of type rho from P0,
+    so entry rho holds the coefficients of A_mu A_nu at rho: p(n) + 1 rows
+    of the table give every product.
+    """
+    rows = _type_table(n)
+    first = rows[0]
+    return tuple(
+        Counter(zip(first, rows[first.index(rho)])) for rho in range(len(all_partitions(n)))
+    )
+
+
+def _multiply(n: int, f, g) -> tuple:
+    """The product of two algebra elements given by their type coefficients."""
+    return tuple(
+        sum(f[mu] * g[nu] * count for (mu, nu), count in constants.items())
+        for constants in _structure_constants(n)
+    )
+
+
+@lru_cache(maxsize=None)
+def _projectors(n: int) -> dict[Partition, tuple[Fraction, ...]]:
+    """E_lambda as type coefficients: the Lagrange product of M(x0).
+
+    E_lambda = prod over the other blocks mu of (M(x0) - c_mu) / (c_lambda - c_mu),
+    with x0 separating the eigenvalues; that the E_lambda sum to the
+    identity is checked here, once per n.
+    """
     x0 = find_generic_specialization(n)
-    matrix = build_loop_matrix(n, x0)
     values = eigenvalues_at(n, x0)
-    return x0, matrix, values
-
-
-def isotypic_component(v: PairingVector, lam: Partition) -> PairingVector:
-    """Component of v in the block of lam, via the spectral projector.
-
-    The projector is the Lagrange product of (M(n, x0) - c_mu Id) over the
-    other blocks, divided by the eigenvalue gaps; only matrix-vector
-    products are needed, so this is cheap and exact.
-    """
-    _, matrix, values = _projection_data(v.n)
-    if lam not in values:
-        raise InvalidInputError(f"{lam} does not index a block for n={v.n}")
-    target = values[lam]
-    w = v
-    for mu, c in values.items():
-        if mu == lam:
-            continue
-        w = matrix.apply(w) - w.scale(c)
-        w = w.scale(Fraction(1, 1) / (target - c))
-    return w
-
-
-def decompose_isotypic(v: PairingVector) -> dict[Partition, PairingVector]:
-    """All block components of v; they sum back to v exactly."""
-    _, _, values = _projection_data(v.n)
-    parts = {lam: isotypic_component(v, lam) for lam in values}
-    total = PairingVector.zero(v.n)
-    for w in parts.values():
-        total = total + w
-    if not (total - v).is_zero():
+    types = all_partitions(n)
+    matrix = tuple(x0 ** mu.length for mu in types)
+    identity = (0,) * (len(types) - 1) + (1,)  # type (1^n): Q = P
+    projectors = {}
+    for lam, target in values.items():
+        e, gap = identity, 1
+        for mu, c in values.items():
+            if mu != lam:
+                e = tuple(a - c * b for a, b in zip(_multiply(n, matrix, e), e))
+                gap *= target - c
+        projectors[lam] = tuple(Fraction(a) / gap for a in e)
+    if tuple(map(sum, zip(*projectors.values()))) != identity:
         raise InternalConsistencyError("spectral projectors do not sum to identity")
-    return parts
+    return projectors
 
 
-def project_invariant(v: PairingVector, flavor: str, k: int) -> PairingVector:
-    """Projection of v onto the flavor's invariant subspace."""
-    result = PairingVector.zero(v.n)
-    for lam in admissible_partitions(v.n, flavor, k):
-        result = result + isotypic_component(v, lam)
-    return result
+def _integral(coeffs) -> tuple[tuple[int, ...], int]:
+    """Integer numerators over the common denominator of rationals."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
 
 
-def restricted_inverse_apply(n: int, flavor: str, k: int, v: PairingVector) -> PairingVector:
-    """Solve M(n, x) w = v on the invariant subspace, x the flavor point.
+@lru_cache(maxsize=None)
+def _selectors(n: int) -> tuple[bytes, ...]:
+    # translation tables marking one type each, for every type but the last two
+    return tuple(bytes(t == mu for t in range(256)) for mu in range(len(all_partitions(n)) - 2))
 
-    v must have zero component in every inadmissible block (checked).  The
-    solve is blockwise division by the nonzero content-product eigenvalue.
+
+def _buckets(v: PairingVector) -> tuple[list[list[int]], int]:
+    """B_mu(P) for every row P, over v scaled to integers, and the scale.
+
+    One pass over the table.  The last type, (1^n), holds only Q = P, and
+    the one before it is what the row total leaves, so p(n) - 2 buckets
+    per row are summed.
     """
-    if v.n != n:
-        raise InvalidInputError(f"vector has n={v.n}, expected {n}")
+    ints, den = _integral(v.coords)
+    if v.n == 1:  # one pairing, one type
+        return [ints], den
+    total = sum(ints)
+    selectors = _selectors(v.n)
+    buckets = []
+    for own, row in zip(ints, _type_table(v.n)):
+        b = [sum(compress(ints, row.translate(s))) for s in selectors]
+        b.append(total - own - sum(b))
+        b.append(own)
+        buckets.append(b)
+    return buckets, den
+
+
+def _apply(n: int, buckets, element) -> PairingVector:
+    (rows, den), (coeffs, scale) = buckets, element
+    scale *= den
+    return PairingVector(n, [Fraction(sum(map(mul, coeffs, b)), scale) for b in rows])
+
+
+@lru_cache(maxsize=None)
+def _solve_data(n: int, flavor: str, k: int):
+    """Integer forms of the invariant projector and of the restricted inverse
+    sum over admissible lambda of E_lambda / c_lambda(x), and of the
+    inadmissible projectors: their sum, then each in block order."""
     x = flavor_specialization(flavor, k)
-    components = decompose_isotypic(v)
-    result = PairingVector.zero(n)
-    for lam, component in components.items():
+    size = len(all_partitions(n))
+    admissible, inverse, outside, blocks = [0] * size, [0] * size, [0] * size, []
+    for lam, e in _projectors(n).items():
         if is_admissible(flavor, k, lam):
             eigenvalue = content_product(lam, x)
             if eigenvalue == 0:
                 raise InternalConsistencyError(
                     f"admissible block {lam} has zero eigenvalue at x={x}"
                 )
-            result = result + component.scale(Fraction(1) / eigenvalue)
-        elif not component.is_zero():
-            raise SubspaceError(
-                f"vector has a nonzero component in the inadmissible block {lam}"
-            )
-    return result
+            admissible = [a + b for a, b in zip(admissible, e)]
+            inverse = [a + b / eigenvalue for a, b in zip(inverse, e)]
+        else:
+            outside = [a + b for a, b in zip(outside, e)]
+            blocks.append((lam, _integral(e)[0]))
+    return _integral(admissible), _integral(inverse), _integral(outside)[0], tuple(blocks)
+
+
+def _vanishes(buckets, coeffs) -> bool:
+    return not any(sum(map(mul, coeffs, b)) for b in buckets[0])
+
+
+def isotypic_component(v: PairingVector, lam: Partition) -> PairingVector:
+    """Component of v in the block of lam: E_lambda applied by one bucket pass."""
+    projectors = _projectors(v.n)
+    if lam not in projectors:
+        raise InvalidInputError(f"{lam} does not index a block for n={v.n}")
+    return _apply(v.n, _buckets(v), _integral(projectors[lam]))
+
+
+def decompose_isotypic(v: PairingVector) -> dict[Partition, PairingVector]:
+    """All block components of v, from one bucket pass; they sum back to v."""
+    buckets = _buckets(v)
+    return {
+        lam: _apply(v.n, buckets, _integral(e)) for lam, e in _projectors(v.n).items()
+    }
+
+
+def project_invariant(v: PairingVector, flavor: str, k: int) -> PairingVector:
+    """Projection of v onto the flavor's invariant subspace."""
+    flavor_specialization(flavor, k)
+    admissible = _solve_data(v.n, flavor, k)[0]
+    return _apply(v.n, _buckets(v), admissible)
+
+
+def restricted_inverse_apply(n: int, flavor: str, k: int, v: PairingVector) -> PairingVector:
+    """Solve M(n, x) w = v on the invariant subspace, x the flavor point.
+
+    v must have zero component in every inadmissible block (checked).  The
+    solve is blockwise division by the nonzero content-product eigenvalue,
+    applied as one algebra element; the check reads the same buckets.
+    """
+    if v.n != n:
+        raise InvalidInputError(f"vector has n={v.n}, expected {n}")
+    flavor_specialization(flavor, k)
+    _, inverse, outside, blocks = _solve_data(n, flavor, k)
+    buckets = _buckets(v)
+    if not _vanishes(buckets, outside):
+        for lam, coeffs in blocks:
+            if not _vanishes(buckets, coeffs):
+                raise SubspaceError(
+                    f"vector has a nonzero component in the inadmissible block {lam}"
+                )
+    return _apply(n, buckets, inverse)

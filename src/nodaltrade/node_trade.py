@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import InconsistentDataError, InvalidInputError, SubspaceError
 from .frozen import Frozen
-from .loop_matrix import PairingVector, project_invariant, restricted_inverse_apply
+from .loop_matrix import PairingVector, restricted_inverse_apply
 from .tensor_oracle import (
     BilinearSpace,
     Tensor,
@@ -138,8 +138,3 @@ def recover(contractions, n: int, space: BilinearSpace, sign: int = 1) -> Invari
 def recover_batch(contraction_vectors, n: int, space: BilinearSpace, sign: int = 1):
     """Componentwise recovery for vector-valued data (one tensor per component)."""
     return [recover(v, n, space, sign=sign) for v in contraction_vectors]
-
-
-def inadmissible_residual(v: PairingVector, space: BilinearSpace) -> PairingVector:
-    """Component of v outside the invariant subspace (zero for valid data)."""
-    return v - project_invariant(v, space.flavor, space.k)

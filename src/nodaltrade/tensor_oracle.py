@@ -71,23 +71,26 @@ class BilinearSpace(Frozen):
 
 
 class Tensor(Frozen):
-    """Order-2n tensor stored as its support.
+    """Order-2n tensor stored as its support, in two parallel tuples.
 
-    The support is the tuple of (flat, value) pairs of the nonzero
-    coefficients, strictly increasing in flat position; index
-    (a_1, ..., a_2n) with 0-based a_i lives at flat position
-    sum a_i * dim^(2n - i) (see `slot_weights`).  The pairing tensors of
-    this module come from enumerating every index choice that hits a
-    nonzero form entry (see `pairing_supports`), so the route is still
-    brute force and shares no code with the loop matrix.
+    `flats` holds the flat positions of the nonzero coefficients, strictly
+    increasing, and `values` the coefficients there; index (a_1, ..., a_2n)
+    with 0-based a_i lives at flat position sum a_i * dim^(2n - i) (see
+    `slot_weights`).  Tensors with the same nonzero pattern may share one
+    `flats` tuple.  The pairing tensors of this module come from
+    enumerating every index choice that hits a nonzero form entry (see
+    `pairing_supports`), so the route is still brute force and shares no
+    code with the loop matrix.
     """
 
-    __slots__ = ("n", "dim", "support")
+    __slots__ = ("n", "dim", "flats", "values")
 
-    def __init__(self, n, dim, support):
+    def __init__(self, n, dim, flats, values):
         size = dim ** (2 * n)
+        if len(flats) != len(values):
+            raise InvalidInputError(f"support has {len(flats)} flats but {len(values)} values")
         last = -1
-        for flat, value in support:
+        for flat, value in zip(flats, values):
             if not last < flat < size:
                 raise InvalidInputError(f"support flats must strictly increase within 0..{size - 1}")
             if value.__class__ is not int and value.__class__ is not Fraction:
@@ -97,7 +100,13 @@ class Tensor(Frozen):
             last = flat
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "flats", flats)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def support(self) -> tuple:
+        """The (flat, value) pairs of the nonzero coefficients, in flat order."""
+        return tuple(zip(self.flats, self.values))
 
     @property
     def order(self) -> int:
@@ -106,7 +115,7 @@ class Tensor(Frozen):
     @property
     def coeffs(self) -> tuple:
         """Every coefficient in flat order: the dense view, built on each access."""
-        coefficient = SupportMap(self.support)
+        coefficient = SupportMap(zip(self.flats, self.values))
         return tuple(coefficient[flat] for flat in range(self.dim ** self.order))
 
     def coefficient(self, index) -> Fraction:
@@ -116,10 +125,10 @@ class Tensor(Frozen):
             if not 0 <= a < self.dim:
                 raise InvalidInputError(f"index entry {a} out of range 0..{self.dim - 1}")
         flat = sum(map(mul, index, slot_weights(self.dim, self.order)))
-        return Fraction(SupportMap(self.support)[flat])
+        return Fraction(SupportMap(zip(self.flats, self.values))[flat])
 
     def is_zero(self) -> bool:
-        return not self.support
+        return not self.flats
 
     def to_json(self) -> dict:
         """Every coefficient up to DENSE_COEFF_LIMIT of them, else the nonzero ones by flat."""
@@ -127,7 +136,7 @@ class Tensor(Frozen):
         if self.dim ** self.order <= DENSE_COEFF_LIMIT:
             out["coeffs"] = [Fraction(c) for c in self.coeffs]
         else:
-            out["nonzero"] = {flat: Fraction(c) for flat, c in self.support}
+            out["nonzero"] = {flat: Fraction(c) for flat, c in zip(self.flats, self.values)}
         return out
 
 
@@ -152,14 +161,16 @@ def check_brute_force_budget(n: int, dim: int) -> None:
 
 
 def pairing_supports(p: Pairing, space: BilinearSpace):
-    """Supports of the form tensor and the diagonal multivector of p.
+    """Supports of the form tensor and the diagonal multivector of p:
+    their common flats, then the values of each.
 
-    A support is the tuple of (flat, value) pairs of a tensor's nonzero
-    coefficients, sorted by flat position.  The coefficient at
-    (a_1..a_2n) is sign * prod over pairs (i, j) of matrix[a_i][a_j],
-    with the form for the covariant tensor and the inverse form for the
-    contravariant one.  One enumeration over every choice of a nonzero
-    entry per pair yields both.
+    The coefficient at (a_1..a_2n) is sign * prod over pairs (i, j) of
+    matrix[a_i][a_j], with the form for the covariant tensor and the
+    inverse form for the contravariant one.  The two matrices have the
+    same nonzero entries (I^-1 = I, J^-1 = -J), so one enumeration over
+    every choice of a nonzero entry per pair yields both supports on one
+    tuple of flats, sorted; `Tensor` refuses a zero value, should the
+    patterns ever differ.  Equal value tuples come back as one tuple.
 
     The symplectic flavor takes each factor in increasing slot order and
     carries the global crossing sign (-1)^c(P); the orthogonal factor is
@@ -182,28 +193,28 @@ def pairing_supports(p: Pairing, space: BilinearSpace):
         ]
         for i, j in p.pairs
     ]
-    forms, diags = [], []
-    for choice in product(*factors):
-        flat = sum(entry[0] for entry in choice)
-        value = sign * prod(entry[1] for entry in choice)
-        if value:
-            forms.append((flat, value))
-        value = sign * prod(entry[2] for entry in choice)
-        if value:
-            diags.append((flat, value))
-    forms.sort()
-    diags.sort()
-    return tuple(forms), tuple(diags)
+    entries = sorted(
+        (
+            sum(entry[0] for entry in choice),
+            sign * prod(entry[1] for entry in choice),
+            sign * prod(entry[2] for entry in choice),
+        )
+        for choice in product(*factors)
+    )
+    flats, forms, diags = map(tuple, zip(*entries))
+    return flats, forms, forms if diags == forms else diags
 
 
 def form_tensor(p: Pairing, space: BilinearSpace) -> Tensor:
     """The covariant tensor: product of the form over the pairs of p."""
-    return Tensor(p.n, space.dim, pairing_supports(p, space)[0])
+    flats, forms, _ = pairing_supports(p, space)
+    return Tensor(p.n, space.dim, flats, forms)
 
 
 def diagonal_multivector(p: Pairing, space: BilinearSpace) -> Tensor:
     """The contravariant tensor: product of inverse-form bivectors."""
-    return Tensor(p.n, space.dim, pairing_supports(p, space)[1])
+    flats, _, diags = pairing_supports(p, space)
+    return Tensor(p.n, space.dim, flats, diags)
 
 
 class SupportMap(dict):
@@ -213,19 +224,19 @@ class SupportMap(dict):
         return 0
 
 
-def contract_support(coeffs, support) -> Fraction:
-    """Sum of coeffs[flat] * value over the (flat, value) pairs of a support.
+def contract_support(coeffs, flats, values) -> Fraction:
+    """Sum of coeffs[flat] * value over the flats and values of a support.
 
     `coeffs` is a `SupportMap`, built once per tensor, or a sequence indexed
     by flat.  Reads only the listed entries and adds integer numerators over
     their common denominator, so the only Fraction built is the result.
     """
-    read = [(coeffs[flat], value) for flat, value in support]
-    den = lcm(*{c.denominator * v.denominator for c, v in read})
+    read = list(map(coeffs.__getitem__, flats))
+    den = lcm(*{c.denominator * v.denominator for c, v in zip(read, values)})
     return Fraction(
         sum(
             c.numerator * v.numerator * (den // (c.denominator * v.denominator))
-            for c, v in read
+            for c, v in zip(read, values)
         ),
         den,
     )
@@ -237,7 +248,7 @@ def contract(form: Tensor, vec: Tensor) -> Fraction:
         raise InvalidInputError(
             f"shape mismatch: ({form.n}, {form.dim}) vs ({vec.n}, {vec.dim})"
         )
-    return contract_support(SupportMap(form.support), vec.support)
+    return contract_support(SupportMap(zip(form.flats, form.values)), vec.flats, vec.values)
 
 
 def permute_slots(t: Tensor, g, basis=None) -> Tensor:
@@ -253,22 +264,32 @@ def permute_slots(t: Tensor, g, basis=None) -> Tensor:
     # new[a] = old[a o g]: the old index digit at slot j lands in slot g(j)
     weight = slot_weights(t.dim, t.order)
     moved = []
-    for flat, value in t.support:
+    for flat, value in zip(t.flats, t.values):
         new = 0
         for w, i in zip(weight, g):
             b, sign = basis[flat // w % t.dim]
             new += b * weight[i - 1]
             value *= sign
         moved.append((new, value))
-    return Tensor(t.n, t.dim, tuple(sorted(moved)))
+    moved.sort()
+    return Tensor(t.n, t.dim, tuple(f for f, _ in moved), tuple(v for _, v in moved))
 
 
 @lru_cache(maxsize=None)
 def _pairing_tensors(n: int, space: BilinearSpace):
     check_brute_force_budget(n, space.dim)
-    pairs = [pairing_supports(p, space) for p in enumerate_pairings(n)]
-    # (form tensors, diagonal multivectors), each in enumeration order
-    return tuple(tuple(Tensor(n, space.dim, s) for s in kind) for kind in zip(*pairs))
+    forms, diags, shared = [], [], {}
+    for p in enumerate_pairings(n):
+        flats, form, diag = pairing_supports(p, space)
+        # pairings share equal flats and value tuples (a few sign patterns)
+        flats = tuple(map(shared.setdefault, flats, flats))
+        form, diag = shared.setdefault(form, form), shared.setdefault(diag, diag)
+        forms.append(Tensor(n, space.dim, flats, form))
+        diags.append(Tensor(n, space.dim, flats, diag))
+    # (form tensors, diagonal multivectors), each in enumeration order, and
+    # the union of their flats, sorted: the support of a generic combination
+    union = tuple(sorted({flat for form in forms for flat in form.flats}))
+    return tuple(forms), tuple(diags), union
 
 
 def all_form_tensors(n: int, space: BilinearSpace):
@@ -285,34 +306,40 @@ def form_combination(v: PairingVector, space: BilinearSpace) -> Tensor:
     """sum c_P * T_P over the form tensors, c the coordinates of v.
 
     Adds integers over the coordinates' common denominator and stores one
-    shared value per distinct total (an int if the denominator is 1).
+    shared value per distinct total (an int if the denominator is 1).  The
+    totals are read in the order of the union of the form supports, so no
+    sort is needed, and a combination whose support is that whole union
+    (the generic case) shares its tuple of flats.
     """
+    forms, _, union = _pairing_tensors(v.n, space)
     den = lcm(*(c.denominator for c in v.coords))
     acc = {}
-    for c, form in zip(v.coords, all_form_tensors(v.n, space)):
+    for c, form in zip(v.coords, forms):
         if not c:
             continue
         scale = c.numerator * (den // c.denominator)
-        for flat, value in form.support:
+        for flat, value in zip(form.flats, form.values):
             acc[flat] = acc.get(flat, 0) + scale * value
-    values, support = {}, []
-    for flat in sorted(acc):
-        total = acc[flat]
+    shared, flats, values = {}, [], []
+    for flat in union:
+        total = acc.get(flat)
         if total:
-            value = values.get(total)
+            value = shared.get(total)
             if value is None:
-                value = values[total] = Fraction(total, den) if den > 1 else total
-            support.append((flat, value))
-    return Tensor(v.n, space.dim, tuple(support))
+                value = shared[total] = Fraction(total, den) if den > 1 else total
+            flats.append(flat)
+            values.append(value)
+    flats = union if len(flats) == len(union) else tuple(flats)
+    return Tensor(v.n, space.dim, flats, tuple(values))
 
 
 def diagonal_row(t: Tensor, space: BilinearSpace) -> tuple:
     """Contractions of t against the diagonal multivector of every t.n-pairing."""
     if t.dim != space.dim:
         raise InvalidInputError(f"tensor has dim {t.dim}, the space has dim {space.dim}")
-    coeffs = SupportMap(t.support)
+    coeffs = SupportMap(zip(t.flats, t.values))
     return tuple(
-        contract_support(coeffs, d.support) for d in all_diagonal_multivectors(t.n, space)
+        contract_support(coeffs, d.flats, d.values) for d in all_diagonal_multivectors(t.n, space)
     )
 
 
@@ -335,9 +362,10 @@ def invariant_map_rank(n: int, space: BilinearSpace):
     the linear combinations of pairings whose tensors cancel.  One
     elimination gives both: the rank is (2n-1)!! less the kernel dimension.
     """
-    supports = [form.support for form in all_form_tensors(n, space)]
-    columns = sorted({flat for support in supports for flat, _ in support})
-    rows = [[row[flat] for flat in columns] for row in map(SupportMap, supports)]
+    forms = all_form_tensors(n, space)
+    columns = sorted({flat for form in forms for flat in form.flats})
+    maps = (SupportMap(zip(form.flats, form.values)) for form in forms)
+    rows = [[row[flat] for flat in columns] for row in maps]
     kernel = [PairingVector(n, combo) for combo in linalg.left_kernel(rows)]
     r = len(rows) - len(kernel)
     expected = sum(

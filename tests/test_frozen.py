@@ -42,9 +42,9 @@ RATIONAL = st.one_of(
 @st.composite
 def tensor_fields(draw):
     dim = draw(st.integers(1, 3))
-    flats = draw(st.lists(st.integers(0, dim * dim - 1), unique=True, max_size=4))
-    support = tuple((flat, draw(RATIONAL)) for flat in sorted(flats))
-    return {"n": 1, "dim": dim, "support": support}
+    flats = tuple(sorted(draw(st.lists(st.integers(0, dim * dim - 1), unique=True, max_size=4))))
+    values = tuple(draw(RATIONAL) for _ in flats)
+    return {"n": 1, "dim": dim, "flats": flats, "values": values}
 
 
 # each class with a strategy for valid constructor keywords and one change that
@@ -80,7 +80,7 @@ CASES = {
         ),
         {"k": 0},
     ),
-    Tensor: (tensor_fields(), {"support": ((0, 0.5),)}),
+    Tensor: (tensor_fields(), {"flats": (0,), "values": (0.5,)}),
 }
 
 

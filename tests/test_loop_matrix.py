@@ -1,29 +1,46 @@
 import random
+import re
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodaltrade.errors import (
     EigenvalueCollisionError,
     InvalidInputError,
     SubspaceError,
 )
+from nodaltrade.linalg import nullspace
 from nodaltrade.loop_matrix import (
     PairingVector,
+    _multiply,
+    _projectors,
+    _type_table,
     admissible_partitions,
     build_loop_matrix,
     decompose_isotypic,
     eigenspace_decomposition,
     eigenvalues_at,
     find_generic_specialization,
+    flavor_dimension,
     flavor_specialization,
-    invariant_subspace,
     isotypic_component,
     project_invariant,
     restricted_inverse_apply,
 )
-from nodaltrade.pairings import double_factorial_odd
-from nodaltrade.partitions import Partition, content_product, even_row_partitions, hook_dimension
+from nodaltrade.pairings import double_factorial_odd, enumerate_pairings, loop_type
+from nodaltrade.partitions import (
+    Partition,
+    all_partitions,
+    content_product,
+    even_row_partitions,
+    hook_dimension,
+)
+from nodaltrade.tensor_oracle import BilinearSpace, diagonal_insertion_matrix, form_combination
+
+CELLS = [(flavor, k) for flavor in ("orthogonal", "symplectic") for k in (1, 2, 3)]
 
 
 def test_matrix_fixtures():
@@ -158,10 +175,21 @@ def test_eigenvalue_fixtures_n3():
 
 
 def test_invariant_subspace_dimensions():
-    assert len(invariant_subspace(2, "orthogonal", 1)) == 1
-    assert len(invariant_subspace(2, "symplectic", 1)) == 2
+    # the invariant subspace is spanned by the admissible eigenblocks, which
+    # project_invariant fixes while it kills the others
+    def dimension(n, flavor, k):
+        blocks = eigenspace_decomposition(n)
+        admissible = admissible_partitions(n, flavor, k)
+        for lam, basis in blocks.items():
+            for v in basis:
+                expected = v if lam in admissible else PairingVector.zero(n)
+                assert project_invariant(v, flavor, k) == expected
+        return sum(len(blocks[lam]) for lam in admissible)
+
+    assert dimension(2, "orthogonal", 1) == 1
+    assert dimension(2, "symplectic", 1) == 2
     for n in (1, 2, 3):
-        assert len(invariant_subspace(n, "orthogonal", 2 * n)) == double_factorial_odd(n)
+        assert dimension(n, "orthogonal", 2 * n) == double_factorial_odd(n)
 
 
 def test_kernel_dimension_of_specialized_matrix():
@@ -223,6 +251,15 @@ def test_restricted_inverse_rejects_outside_vectors():
         restricted_inverse_apply(2, "orthogonal", 1, v)
 
 
+def test_subspace_error_names_the_first_nonzero_inadmissible_block():
+    # orthogonal k=1 at n=3 admits (6) only; blocks come in reverse-lex order
+    blocks = eigenspace_decomposition(3)
+    first, second = blocks[Partition((4, 2))][0], blocks[Partition((2, 2, 2))][0]
+    for v, named in ((second, "(2,2,2)"), (first, "(4,2)"), (first + second, "(4,2)")):
+        with pytest.raises(SubspaceError, match=re.escape(f"inadmissible block {named}")):
+            restricted_inverse_apply(3, "orthogonal", 1, v)
+
+
 def test_restricted_inverse_roundtrip_random():
     # 100 seeded random rational vectors per (flavor, n, k), exact identity
     rng = random.Random(20240815)
@@ -243,3 +280,138 @@ def test_restricted_inverse_roundtrip_random():
                     image = m.apply(v)
                     back = restricted_inverse_apply(n, flavor, k, image)
                     assert back.coords == v.coords
+
+
+# -- k is checked at every entry point, before any cache is read ---------------
+
+
+def test_restricted_inverse_refuses_k_zero():
+    # used to read as an inadmissible block (4) of a valid solve
+    with pytest.raises(InvalidInputError, match="k must be >= 1, got 0"):
+        restricted_inverse_apply(2, "orthogonal", 0, PairingVector(2, (1, 0, 0)))
+
+
+def test_negative_k_is_refused_even_for_the_zero_vector():
+    zero = PairingVector.zero(2)
+    with pytest.raises(InvalidInputError, match="k must be >= 1, got -1"):
+        restricted_inverse_apply(2, "symplectic", -1, zero)
+    with pytest.raises(InvalidInputError, match="k must be >= 1, got -1"):
+        project_invariant(zero, "orthogonal", -1)
+    with pytest.raises(InvalidInputError, match="k must be >= 1, got -1"):
+        admissible_partitions(2, "orthogonal", -1)
+
+
+def test_flavor_specialization_refuses_a_fractional_k():
+    with pytest.raises(InvalidInputError, match="k must be an integer, got 0.5"):
+        flavor_specialization("symplectic", 0.5)
+    with pytest.raises(InvalidInputError, match="k must be an integer, got Fraction"):
+        flavor_specialization("orthogonal", Fraction(2))
+
+
+def test_bilinear_space_refuses_a_float_k():
+    with pytest.raises(InvalidInputError, match="k must be an integer, got 1.5"):
+        BilinearSpace("symplectic", 1.5)
+    # a float or bool equal to a valid k must not reach a cache filled for the int
+    v = PairingVector(2, (1, 1, 1))
+    assert restricted_inverse_apply(2, "orthogonal", 2, v).coords == (Fraction(1, 8),) * 3
+    assert project_invariant(v, "orthogonal", 2) == v
+    for k in (2.0, True):
+        with pytest.raises(InvalidInputError, match="k must be an integer"):
+            restricted_inverse_apply(2, "orthogonal", k, v)
+        with pytest.raises(InvalidInputError, match="k must be an integer"):
+            project_invariant(v, "orthogonal", k)
+        with pytest.raises(InvalidInputError, match="k must be an integer"):
+            flavor_dimension("orthogonal", k)
+
+
+# -- the coset-type algebra -----------------------------------------------------
+
+SMALL_N = st.integers(1, 4)
+
+
+def test_type_table_entries_are_loop_types():
+    for n in (1, 2, 3, 4):
+        ps, types = enumerate_pairings(n), all_partitions(n)
+        rows = _type_table(n)
+        for p, row in zip(ps, rows):
+            assert [types[t].parts for t in row] == [loop_type(p, q) for q in ps]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=SMALL_N, data=st.data())
+def test_projectors_are_orthogonal_idempotents(n, data):
+    projectors = _projectors(n)
+    lam = data.draw(st.sampled_from(list(projectors)))
+    mu = data.draw(st.sampled_from(list(projectors)))
+    expected = projectors[lam] if lam == mu else (0,) * len(projectors[lam])
+    assert _multiply(n, projectors[lam], projectors[mu]) == expected
+    identity = (0,) * (len(all_partitions(n)) - 1) + (1,)
+    assert tuple(map(sum, zip(*projectors.values()))) == identity
+
+
+def test_projector_traces_are_hook_dimensions():
+    # every diagonal entry has the identity type, the last one
+    for n in (1, 2, 3, 4):
+        for lam, e in _projectors(n).items():
+            assert double_factorial_odd(n) * e[-1] == hook_dimension(lam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=SMALL_N, x0=st.integers(-12, 12), data=st.data())
+def test_projectors_are_eigenvectors_of_the_loop_matrix(n, x0, data):
+    lam, e = data.draw(st.sampled_from(list(_projectors(n).items())))
+    matrix = tuple(x0 ** mu.length for mu in all_partitions(n))
+    assert _multiply(n, matrix, e) == tuple(content_product(lam, x0) * a for a in e)
+
+
+def _second_coefficient(f, n):
+    """The x^(n-1) coefficient of a monic degree-n polynomial, from its values:
+    the (n-1)-th forward difference at 0 is (n-1)! (a_(n-1) + C(n, 2))."""
+    values = [f(x) for x in range(n)]
+    for _ in range(n - 1):
+        values = [b - a for a, b in zip(values, values[1:])]
+    return values[0] / factorial(n - 1) - comb(n, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_one_swap_eigenvalue_is_the_second_content_coefficient(n):
+    # M(x) = sum x^length(mu) A_mu and only (2, 1^(n-2)) has length n - 1
+    types = all_partitions(n)
+    swap = tuple(int(mu.parts == (2,) + (1,) * (n - 2)) for mu in types)
+    for lam, e in _projectors(n).items():
+        coefficient = _second_coefficient(lambda x: content_product(lam, x), n)
+        assert _multiply(n, swap, e) == tuple(coefficient * a for a in e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=SMALL_N, cell=st.sampled_from(CELLS), data=st.data())
+def test_restricted_inverse_solves_the_dense_system(n, cell, data):
+    flavor, k = cell
+    size = double_factorial_odd(n)
+    coords = data.draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
+    matrix = build_loop_matrix(n, flavor_specialization(flavor, k))
+    v = matrix.apply(PairingVector(n, coords))
+    w = restricted_inverse_apply(n, flavor, k, v)
+    assert matrix.apply(w) == v
+    assert project_invariant(w, flavor, k) == w
+    if n > 3:
+        return
+    kernel = nullspace([list(row) for row in matrix.entries])
+    if kernel:
+        u = PairingVector(n, data.draw(st.sampled_from(kernel)))
+        with pytest.raises(SubspaceError, match="nonzero component in the inadmissible block"):
+            restricted_inverse_apply(n, flavor, k, v + u)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 3), cell=st.sampled_from(CELLS), data=st.data())
+def test_recovery_agrees_with_the_brute_force_oracle(n, cell, data):
+    # the contraction matrix and the expansion come from tensor_oracle only
+    space = BilinearSpace(*cell)
+    size = double_factorial_odd(n)
+    c = PairingVector(n, data.draw(st.lists(st.integers(-6, 6), min_size=size, max_size=size)))
+    brute = diagonal_insertion_matrix(n, space)
+    data_vector = PairingVector(n, [sum(a * b for a, b in zip(row, c.coords)) for row in brute])
+    w = restricted_inverse_apply(n, *cell, data_vector)
+    assert [sum(a * b for a, b in zip(row, w.coords)) for row in brute] == list(data_vector.coords)
+    assert form_combination(w, space) == form_combination(c, space)

@@ -33,7 +33,8 @@ CELLS = [(flavor, k) for flavor in ("orthogonal", "symplectic") for k in (1, 2, 
 
 def dense_tensor(n, dim, coeffs):
     """The tensor whose dense view is coeffs."""
-    return Tensor(n, dim, tuple((flat, c) for flat, c in enumerate(coeffs) if c))
+    flats = tuple(flat for flat, c in enumerate(coeffs) if c)
+    return Tensor(n, dim, flats, tuple(coeffs[flat] for flat in flats))
 
 
 def test_space_forms():
@@ -240,23 +241,30 @@ def test_building_tensors_leaves_no_reference_cycles():
     ids=["unsorted", "repeated-flat", "negative-flat", "flat-past-end", "zero-value", "float-value"],
 )
 def test_tensor_rejects_malformed_support(support, fragment):
+    flats, values = tuple(f for f, _ in support), tuple(v for _, v in support)
     with pytest.raises(InvalidInputError, match=fragment):
-        Tensor(2, 2, support)
+        Tensor(2, 2, flats, values)
+
+
+def test_tensor_refuses_flats_and_values_of_different_lengths():
+    with pytest.raises(InvalidInputError, match="2 flats but 1 values"):
+        Tensor(2, 2, (0, 3), (1,))
 
 
 def test_tensor_reads_its_support():
-    t = Tensor(1, 3, ((1, Fraction(1, 2)), (8, -4)))
+    t = Tensor(1, 3, (1, 8), (Fraction(1, 2), -4))
     assert t.coeffs == (0, Fraction(1, 2), 0, 0, 0, 0, 0, 0, -4)
     assert t.coefficient((0, 1)) == Fraction(1, 2) and t.coefficient((1, 0)) == 0
-    assert t == Tensor(1, 3, ((1, Fraction(1, 2)), (8, Fraction(-4))))
-    assert not t.is_zero() and Tensor(1, 3, ()).is_zero()
+    assert t.support == ((1, Fraction(1, 2)), (8, -4))
+    assert t == Tensor(1, 3, (1, 8), (Fraction(1, 2), Fraction(-4)))
+    assert not t.is_zero() and Tensor(1, 3, (), ()).is_zero()
 
 
 def test_contract_support_common_denominator():
     coeffs = (Fraction(1, 2), Fraction(0), Fraction(-2, 3), 5)
-    assert contract_support(coeffs, ((0, 4), (2, 3), (3, -1))) == Fraction(-5)
-    assert contract_support(coeffs, ((0, Fraction(1, 3)), (2, 1))) == Fraction(-1, 2)
-    assert contract_support(coeffs, ()) == 0
+    assert contract_support(coeffs, (0, 2, 3), (4, 3, -1)) == Fraction(-5)
+    assert contract_support(coeffs, (0, 2), (Fraction(1, 3), 1)) == Fraction(-1, 2)
+    assert contract_support(coeffs, (), ()) == 0
 
 
 def test_invariant_map_rank_fixtures():
@@ -368,7 +376,7 @@ def test_contract_bilinearity_random():
 
 
 def test_permute_slots_refuses_a_basis_map_that_is_no_signed_permutation():
-    t = Tensor(1, 2, ((1, 1),))
+    t = Tensor(1, 2, (1,), (1,))
     for basis in (((0, 1), (0, 1)), ((0, 1), (1, 2)), ((0, 1),)):
         with pytest.raises(InvalidInputError, match="signed permutation"):
             permute_slots(t, (1, 2), basis)
@@ -385,7 +393,8 @@ def test_signed_basis_map_then_its_inverse_returns_the_tensor(n, dim, data):
             max_size=12,
         )
     )
-    t = Tensor(n, dim, tuple(sorted((flat, c) for flat, c in entries.items() if c)))
+    flats = tuple(sorted(flat for flat, c in entries.items() if c))
+    t = Tensor(n, dim, flats, tuple(entries[flat] for flat in flats))
     images = data.draw(st.permutations(range(dim)))
     signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=dim, max_size=dim))
     g = tuple(data.draw(st.permutations(range(1, order + 1))))
