@@ -455,7 +455,7 @@ def compute_contribution(case_id: str, table: OracleTable | None = None):
     return _contribution(case_id, enumerate_cases()[case_id], oracle, recorder)
 
 
-class CaseReport(Frozen, uncompared=("breakdowns", "lhs_breakdown")):
+class CaseReport(Frozen):
     __slots__ = ("lhs", "contributions", "rhs_total", "agreement", "breakdowns", "lhs_breakdown")
 
     def __init__(

@@ -21,19 +21,17 @@ def _refusal(action: str, name: str) -> Exception:
 class Frozen:
     """A slotted, frozen value compared, hashed and shown by its fields.
 
-    Class keywords name fields by their role: `derived` ones are computed
-    by `__init__` from the others and left out of the repr, the comparison
-    and `replace`; `uncompared` ones are left out of equality and hashing
-    only, which keeps the one user, `CaseReport`, comparing as it always
-    has.  A class with an unhashable compared field is unhashable.
+    The class keyword `derived` names the fields that `__init__` computes
+    from the others; they are left out of the repr, the comparison and
+    `replace`.  A class with an unhashable compared field is unhashable.
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls, derived=(), uncompared=(), **kwargs):
+    def __init_subclass__(cls, derived=(), **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(f for f in cls.__slots__ if f not in derived)
-        cls._key = attrgetter(*(f for f in cls._fields if f not in uncompared))
+        cls._key = attrgetter(*cls._fields)
 
     def _set(self, *values):
         for name, value in zip(self.__slots__, values, strict=True):

@@ -16,9 +16,7 @@ def _integerize(row):
     fracs = [Fraction(x) for x in row]
     denom = lcm(*(f.denominator for f in fracs)) if fracs else 1
     ints = [int(f * denom) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     return ints
@@ -52,9 +50,7 @@ def _eliminate(rows, width=None):
             if not q:
                 continue
             new = [p * a - q * b for a, b in zip(rows[r], rows[pr])]
-            g = 0
-            for x in new:
-                g = gcd(g, x)
+            g = gcd(*new)
             if g > 1:
                 new = [x // g for x in new]
             rows[r] = new

@@ -5,9 +5,11 @@ eigenspaces are the isotypic blocks indexed by even-row partitions of 2n,
 with eigenvalue the content product of the half partition.  Specializing
 x to k (orthogonal flavor) or -2k (symplectic flavor) makes M invertible
 exactly on the flavor's invariant subspace, which is what the node-trade
-solver inverts.  The eigenblock bases come from the N x N matrix; the
-projections and the restricted inverse are computed in the p(n)-dimensional
-algebra of coset types that M belongs to (see the second half).
+solver inverts.  M lives in the p(n)-dimensional algebra of coset types
+(see the second half) and is stored there: a `LoopMatrix` keeps one power
+of x per type and reads its entries and its products with vectors off the
+shared type table, where the projections and the restricted inverse are
+computed too.  Only the eigenblock bases still come from N x N kernels.
 """
 
 from __future__ import annotations
@@ -26,13 +28,7 @@ from .errors import (
     InvalidInputError,
     SubspaceError,
 )
-from .pairings import (
-    act_permutation,
-    double_factorial_odd,
-    enumerate_pairings,
-    loop_number,
-    loop_type,
-)
+from .pairings import act_permutation, double_factorial_odd, enumerate_pairings, loop_type
 from .frozen import Frozen
 from .partitions import (
     Partition,
@@ -41,7 +37,7 @@ from .partitions import (
     even_row_partitions,
     hook_dimension,
 )
-from .rationals import as_rational
+from .rationals import as_rational, rational_argument
 
 ORTHOGONAL = "orthogonal"
 SYMPLECTIC = "symplectic"
@@ -122,10 +118,7 @@ class PairingVector(Frozen):
         return PairingVector(self.n, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def scale(self, c) -> "PairingVector":
-        try:
-            c = as_rational(c)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise InvalidInputError(f"scale factor must be a rational: {exc}") from exc
+        c = rational_argument("scale factor", c)
         return PairingVector(self.n, tuple(c * a for a in self.coords))
 
     def is_zero(self) -> bool:
@@ -139,37 +132,56 @@ class PairingVector(Frozen):
         return self.coords
 
 
-class LoopMatrix(Frozen):
-    """The square matrix with entries x^L(P, P') over the pairing basis."""
+class LoopMatrix(Frozen, derived=("powers",)):
+    """M(n, x) = sum over coset types mu of x^length(mu) A_mu, kept as those
+    p(n) powers of x and read off the shared type table of n."""
 
-    __slots__ = ("n", "x", "entries")
+    __slots__ = ("n", "x", "powers")
 
-    def __init__(self, n, x, entries):
-        self._set(n, x, entries)
+    def __init__(self, n, x):
+        x = rational_argument("x", x)
+        _type_table(n)  # checks n against the pairing ceiling
+        self._set(n, x, tuple(x ** mu.length for mu in all_partitions(n)))
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return double_factorial_odd(self.n)
+
+    @property
+    def entries(self) -> "LoopEntries":
+        return LoopEntries(_type_table(self.n), self.powers)
 
     def apply(self, v: PairingVector) -> PairingVector:
         if v.n != self.n:
             raise InvalidInputError("vector size does not match matrix")
-        return PairingVector(self.n, linalg.mat_vec(self.entries, v.coords))
+        return _apply(self.n, _buckets(v), _integral(self.powers))
 
 
-@lru_cache(maxsize=None)
-def _loop_exponents(n: int) -> tuple[tuple[int, ...], ...]:
-    ps = enumerate_pairings(n)
-    return tuple(tuple(loop_number(p, q) for q in ps) for p in ps)
+class LoopEntries:
+    """The N x N entries of a loop matrix, row P built on access from the one
+    shared power of x per type(P, Q); equal to, and rendered as, the tuple of rows."""
+
+    __slots__ = ("_rows", "_powers")
+
+    def __init__(self, rows, powers):
+        self._rows, self._powers = rows, powers
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        return tuple(map(self._powers.__getitem__, self._rows[i]))
+
+    def __eq__(self, other):
+        return tuple(self) == other
+
+    def to_json(self):
+        return tuple(self)
 
 
 def build_loop_matrix(n: int, x) -> LoopMatrix:
     """Construct M(n, x) in the canonical pairing order."""
-    x = Fraction(x)
-    entries = tuple(
-        tuple(x ** e for e in row) for row in _loop_exponents(n)
-    )
-    return LoopMatrix(n=n, x=x, entries=entries)
+    return LoopMatrix(n, x)
 
 
 def eigenvalues_at(n: int, x0) -> dict[Partition, Fraction]:
@@ -214,10 +226,7 @@ def eigenspace_decomposition(n: int, x0=None) -> dict[Partition, list[PairingVec
     blocks: dict[Partition, list[PairingVector]] = {}
     total = 0
     for lam, value in eigenvalues_at(n, x0).items():
-        shifted = [
-            [entry - (value if i == j else 0) for j, entry in enumerate(row)]
-            for i, row in enumerate(matrix.entries)
-        ]
+        shifted = [r[:i] + (r[i] - value,) + r[i + 1 :] for i, r in enumerate(matrix.entries)]
         basis = [PairingVector(n, v) for v in linalg.nullspace(shifted)]
         expected = hook_dimension(lam)
         if len(basis) != expected:
@@ -306,9 +315,8 @@ def _projectors(n: int) -> dict[Partition, tuple[Fraction, ...]]:
     """
     x0 = find_generic_specialization(n)
     values = eigenvalues_at(n, x0)
-    types = all_partitions(n)
-    matrix = tuple(x0 ** mu.length for mu in types)
-    identity = (0,) * (len(types) - 1) + (1,)  # type (1^n): Q = P
+    matrix = build_loop_matrix(n, x0).powers
+    identity = (0,) * (len(matrix) - 1) + (1,)  # type (1^n): Q = P
     projectors = {}
     for lam, target in values.items():
         e, gap = identity, 1

@@ -133,16 +133,6 @@ def enumerate_pairings(n: int) -> tuple[Pairing, ...]:
     return _enumerate(n)
 
 
-def pairing_index(p: Pairing) -> int:
-    """Position of p in the canonical enumeration order."""
-    return _index_map(p.n)[p.pairs]
-
-
-@lru_cache(maxsize=None)
-def _index_map(n: int):
-    return {q.pairs: i for i, q in enumerate(_enumerate(n))}
-
-
 def crossing_number(p: Pairing) -> int:
     """Number of interleaved pair-of-pairs (i,k),(j,l) with i<j<k<l."""
     c = 0

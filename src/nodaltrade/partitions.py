@@ -12,6 +12,7 @@ from math import factorial
 
 from .errors import InvalidInputError
 from .frozen import Frozen
+from .rationals import rational_argument
 
 
 class Partition(Frozen):
@@ -106,11 +107,6 @@ def half_partition(lam: Partition) -> Partition:
     return Partition(tuple(p // 2 for p in lam.parts))
 
 
-def double_partition(lam: Partition) -> Partition:
-    """Double every part; inverse of half_partition."""
-    return Partition(tuple(2 * p for p in lam.parts))
-
-
 def hook_dimension(lam: Partition) -> int:
     """Dimension of the irreducible symmetric-group representation for lam.
 
@@ -136,7 +132,7 @@ def content_product(lam: Partition, x) -> Fraction:
     by the even-row partition lam of 2n.
     """
     half = half_partition(lam)
-    x = Fraction(x)
+    x = rational_argument("x", x)
     result = Fraction(1)
     for (i, j) in half.boxes():
         result *= x - i + 2 * j - 1

@@ -25,6 +25,14 @@ def as_rational(value) -> Fraction:
     return Fraction(value)
 
 
+def rational_argument(name: str, value) -> Fraction:
+    """`as_rational` for an argument: a refusal is an input error naming it."""
+    try:
+        return as_rational(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InvalidInputError(f"{name} must be a rational: {exc}") from exc
+
+
 def format_rational(value) -> str:
     """Render an int or Fraction as "p" or "p/q" in lowest terms."""
     f = Fraction(value)

@@ -159,12 +159,19 @@ def test_trade_past_dense_limit_builds_no_dense_array(capsys, tmp_path, monkeypa
          "1c91333b54940e38966eda0fa7f766207f54a2a2322f3990513e12f7a36b0c4c"),
         (("appendix",),
          "45463ce75939773c4b0bd195fb0816e71f009d45e59de8a2d85cc7334052129b"),
+        (("loopmat", "--n", "4", "--x", "2"),
+         "5bd47a387eb6896e44879e21fe7b5a98dfb94b462a8d72ad1ec79919088d27ad"),
+        (("loopmat", "--n", "4", "--x=-7/3", "--eigen"),
+         "69676cb079c876d5dfc25f1e488a1150fb09496fa002ddbd9f118da10238de19"),
+        (("oracle", "--n", "3", "--flavor", "orthogonal", "--k", "2", "--check-loop-matrix"),
+         "b8ff1bd1cf4020d8d8a558ca7ab0ee58cf3e242001971bb56873889540c79076"),
     ],
-    ids=["nullspace", "left-kernel", "dual-basis"],
+    ids=["nullspace", "left-kernel", "dual-basis", "loopmat", "loopmat-eigen", "check-loop-matrix"],
 )
 def test_report_is_pinned(capsys, argv, digest):
     # sha256 of each report as printed when rank, the kernels and the dual
-    # basis still ran on three separate elimination routines
+    # basis still ran on three separate elimination routines, and the loop
+    # matrix was still stored entry by entry
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,7 +1,9 @@
 import random
 import re
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,7 @@ from nodaltrade.loop_matrix import (
     project_invariant,
     restricted_inverse_apply,
 )
-from nodaltrade.pairings import double_factorial_odd, enumerate_pairings, loop_type
+from nodaltrade.pairings import double_factorial_odd, enumerate_pairings, loop_number, loop_type
 from nodaltrade.partitions import (
     Partition,
     all_partitions,
@@ -63,6 +65,68 @@ def test_matrix_symmetry():
         for i in range(m.size):
             for j in range(m.size):
                 assert m.entries[i][j] == m.entries[j][i]
+
+
+XS = [2, -2, Fraction(7, 3), 0, 1]
+
+
+@cache
+def _dense_loop_matrix(n, x):
+    """x^L(P, Q) entry by entry, from the loop numbers alone."""
+    ps = enumerate_pairings(n)
+    return tuple(tuple(Fraction(x) ** loop_number(p, q) for q in ps) for p in ps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_entries_are_powers_of_loop_numbers(n):
+    for x in XS:
+        entries = build_loop_matrix(n, x).entries
+        reference = _dense_loop_matrix(n, x)
+        assert len(entries) == len(reference)
+        for i, row in enumerate(reference):
+            assert entries[i] == row
+        assert entries == reference and list(entries) == list(reference)
+        assert entries != _dense_loop_matrix(n, 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), x=st.sampled_from(XS), data=st.data())
+def test_apply_is_the_dense_product(n, x, data):
+    reference = _dense_loop_matrix(n, x)
+    rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+    coords = data.draw(st.lists(rationals, min_size=len(reference), max_size=len(reference)))
+    w = build_loop_matrix(n, x).apply(PairingVector(n, coords))
+    assert w.coords == tuple(sum(map(mul, row, coords), Fraction(0)) for row in reference)
+
+
+def test_loop_matrix_at_n1():
+    m = build_loop_matrix(1, Fraction(-7, 3))
+    assert m.size == 1 and m.entries == ((Fraction(-7, 3),),)
+    assert m.apply(PairingVector(1, [Fraction(3, 2)])).coords == (Fraction(-7, 2),)
+
+
+def test_loop_matrix_keeps_one_power_per_type():
+    m = build_loop_matrix(4, 3)
+    assert m.powers == tuple(Fraction(3) ** mu.length for mu in all_partitions(4))
+    assert {id(e) for row in m.entries for e in row} == set(map(id, m.powers))
+    assert m == build_loop_matrix(4, Fraction(3)) and hash(m) == hash(build_loop_matrix(4, 3))
+    assert repr(m) == "LoopMatrix(n=4, x=Fraction(3, 1))"
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda: build_loop_matrix(2, 0.1), "0.1"),
+        (lambda: eigenspace_decomposition(2, 7.5), "7.5"),
+        (lambda: eigenvalues_at(2, 0.5), "0.5"),
+        (lambda: content_product(Partition((4, 2)), 0.5), "0.5"),
+    ],
+    ids=["build_loop_matrix", "eigenspace_decomposition", "eigenvalues_at", "content_product"],
+)
+def test_loop_matrix_entry_points_refuse_floats(call, value):
+    message = f"x must be a rational: refusing the float {value}"
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        call()
 
 
 def test_pairing_vector_validation():

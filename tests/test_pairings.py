@@ -13,7 +13,6 @@ from nodaltrade.pairings import (
     enumerate_pairings,
     loop_number,
     loop_type,
-    pairing_index,
     permutation_sign,
 )
 
@@ -54,8 +53,6 @@ def test_enumeration_is_lexicographic_and_indexable():
         ps = enumerate_pairings(n)
         flat = [tuple(x for pair in q.pairs for x in pair) for q in ps]
         assert flat == sorted(flat)
-        for i, q in enumerate(ps):
-            assert pairing_index(q) == i
 
 
 def test_enumeration_bounds():

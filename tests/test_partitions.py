@@ -8,7 +8,6 @@ from nodaltrade.partitions import (
     Partition,
     all_partitions,
     content_product,
-    double_partition,
     even_row_partitions,
     half_partition,
     hook_dimension,
@@ -75,7 +74,7 @@ def test_half_and_double_inverse():
     assert half_partition(Partition((4, 2))).parts == (2, 1)
     for m in range(2, 13, 2):
         for lam in even_row_partitions(m):
-            assert double_partition(half_partition(lam)) == lam
+            assert Partition(tuple(2 * p for p in half_partition(lam).parts)) == lam
 
 
 def test_content_product_fixtures():

@@ -1,12 +1,15 @@
+import ast
 import gc
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nodaltrade import tensor_oracle
 from nodaltrade.errors import InvalidInputError, ResourceLimitError
 from nodaltrade.linalg import rank
 from nodaltrade.loop_matrix import build_loop_matrix, flavor_specialization
@@ -408,3 +411,26 @@ def test_signed_basis_map_then_its_inverse_returns_the_tensor(n, dim, data):
     moved = permute_slots(t, g, basis)
     assert permute_slots(moved, inverse_g, inverse_basis) == t
     assert permute_slots(t, range(1, order + 1)) == t
+
+
+LOOP_MATRIX_ROUTE = {
+    "_type_table", "_buckets", "_apply", "_projectors", "build_loop_matrix", "LoopMatrix",
+    "loop_type", "loop_number", "act_permutation",
+}
+
+
+def test_oracle_shares_no_code_with_the_loop_matrix_route():
+    # `oracle --check-loop-matrix` compares this module with the type table, which
+    # is a genuine check only while the oracle computes without it
+    tree = ast.parse(Path(tensor_oracle.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    assert not names & LOOP_MATRIX_ROUTE
