@@ -93,6 +93,8 @@ class PairingVector(Frozen):
     __slots__ = ("n", "coords")
 
     def __init__(self, n, coords):
+        if n.__class__ is not int:
+            raise InvalidInputError(f"n must be an integer, got {n!r}")
         if n < 1:
             raise InvalidInputError(f"n must be >= 1, got {n}")
         try:
@@ -140,7 +142,8 @@ class LoopMatrix(Frozen, derived=("powers",)):
 
     def __init__(self, n, x):
         x = rational_argument("x", x)
-        _type_table(n)  # checks n against the pairing ceiling
+        enumerate_pairings(n)  # checks n, which the cached table below cannot
+        _type_table(n)
         self._set(n, x, tuple(x ** mu.length for mu in all_partitions(n)))
 
     @property

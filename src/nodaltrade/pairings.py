@@ -122,6 +122,8 @@ def enumerate_pairings(n: int) -> tuple[Pairing, ...]:
     produces exactly the lexicographic order; this order is the global
     coordinate convention.
     """
+    if n.__class__ is not int:
+        raise InvalidInputError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     ceiling = max_pairing_size()

@@ -19,7 +19,10 @@ def parse_rational(text: str) -> Fraction:
 
 def as_rational(value) -> Fraction:
     """An int, a Fraction or a rational string as a Fraction; a float raises
-    TypeError, since its binary value is not the decimal it was written as."""
+    TypeError, since its binary value is not the decimal it was written as.
+    An exact Fraction comes back as it is."""
+    if value.__class__ is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(f"refusing the float {value!r}")
     return Fraction(value)
@@ -35,7 +38,7 @@ def rational_argument(name: str, value) -> Fraction:
 
 def format_rational(value) -> str:
     """Render an int or Fraction as "p" or "p/q" in lowest terms."""
-    f = Fraction(value)
+    f = value if value.__class__ is Fraction else Fraction(value)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"

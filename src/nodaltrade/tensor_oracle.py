@@ -4,6 +4,9 @@ Builds the covariant pairing tensors and the contravariant diagonal
 multivectors as supports (their nonzero entries, enumerated directly),
 stores every tensor as its support, and owns that format: linear
 combinations, slot and basis remaps, contractions and the report form.
+Combinations, contraction rows and the rank read a class table built
+from those supports: the flats grouped by their distinct column of
+pairing values (140 classes for 1,860 flats at n=3, dim 6).
 The central assertion of the module is that the matrix of contractions
 reproduces the loop matrix at x = k (orthogonal) or x = -2k (symplectic);
 tests and the CLI perform that comparison entrywise, keeping the two
@@ -14,9 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import compress, islice, product, repeat
 from math import lcm, prod
-from operator import mul
+from operator import add, attrgetter, lt, mul
 
 from . import linalg
 from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
@@ -89,15 +92,20 @@ class Tensor(Frozen):
         size = dim ** (2 * n)
         if len(flats) != len(values):
             raise InvalidInputError(f"support has {len(flats)} flats but {len(values)} values")
-        last = -1
-        for flat, value in zip(flats, values):
-            if not last < flat < size:
-                raise InvalidInputError(f"support flats must strictly increase within 0..{size - 1}")
-            if value.__class__ is not int and value.__class__ is not Fraction:
-                raise InvalidInputError(f"support value {value!r} at flat {flat} is not an int or Fraction")
-            if not value:
-                raise InvalidInputError("support holds a zero value")
-            last = flat
+        # the checks as C-level passes; the loop runs only to name the first offender
+        increasing = not flats or (
+            -1 < flats[0] and flats[-1] < size and all(map(lt, flats, islice(flats, 1, None)))
+        )
+        if not (increasing and set(map(type, values)) <= {int, Fraction} and all(values)):
+            last = -1
+            for flat, value in zip(flats, values):
+                if not last < flat < size:
+                    raise InvalidInputError(f"support flats must strictly increase within 0..{size - 1}")
+                if value.__class__ is not int and value.__class__ is not Fraction:
+                    raise InvalidInputError(f"support value {value!r} at flat {flat} is not an int or Fraction")
+                if not value:
+                    raise InvalidInputError("support holds a zero value")
+                last = flat
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "flats", flats)
@@ -286,10 +294,40 @@ def _pairing_tensors(n: int, space: BilinearSpace):
         form, diag = shared.setdefault(form, form), shared.setdefault(diag, diag)
         forms.append(Tensor(n, space.dim, flats, form))
         diags.append(Tensor(n, space.dim, flats, diag))
-    # (form tensors, diagonal multivectors), each in enumeration order, and
-    # the union of their flats, sorted: the support of a generic combination
+    # the tensors in enumeration order, the sorted union of their flats (the
+    # support of a generic combination) and the class table over that union
     union = tuple(sorted({flat for form in forms for flat in form.flats}))
-    return tuple(forms), tuple(diags), union
+    return tuple(forms), tuple(diags), union, _class_table(forms, diags, union)
+
+
+def _class_table(forms, diags, union):
+    """Class id of each union flat, the flats of each class, and the form and
+    the diagonal values of each class as N x #classes rows.
+
+    Flats whose pairings all have equal (form, diagonal) values there make a
+    class, numbered in order of first occurrence.  A column is keyed by one
+    integer whose base-b digit i numbers pairing i's value pair (0 off its
+    support), so no per-flat column is ever built.
+    """
+    pairs = {}
+    for form, diag in zip(forms, diags):
+        for pair in zip(form.values, diag.values):
+            pairs.setdefault(pair, len(pairs) + 1)
+    base = len(pairs) + 1
+    column = dict.fromkeys(union, 0)
+    for i, (form, diag) in enumerate(zip(forms, diags)):
+        for flat, pair in zip(form.flats, zip(form.values, diag.values)):
+            column[flat] += pairs[pair] * base**i
+    ids = {}
+    class_of = tuple(ids.setdefault(key, len(ids)) for key in column.values())
+    class_flats = [[] for _ in ids]
+    for flat, c in zip(union, class_of):
+        class_flats[c].append(flat)
+    digits = [(0, 0), *pairs]
+    rows = [tuple(digits[key // base**i % base] for key in ids) for i in range(len(forms))]
+    form_rows = tuple(tuple(f for f, _ in row) for row in rows)
+    diag_rows = tuple(tuple(d for _, d in row) for row in rows)
+    return class_of, tuple(map(tuple, class_flats)), form_rows, diag_rows
 
 
 def all_form_tensors(n: int, space: BilinearSpace):
@@ -305,50 +343,52 @@ def all_diagonal_multivectors(n: int, space: BilinearSpace):
 def form_combination(v: PairingVector, space: BilinearSpace) -> Tensor:
     """sum c_P * T_P over the form tensors, c the coordinates of v.
 
-    Adds integers over the coordinates' common denominator and stores one
-    shared value per distinct total (an int if the denominator is 1).  The
-    totals are read in the order of the union of the form supports, so no
-    sort is needed, and a combination whose support is that whole union
-    (the generic case) shares its tuple of flats.
+    Adds integers over the coordinates' common denominator, one total per
+    class, and spreads them to the union flats by class id, dropping a class
+    whose total is 0.  One value is stored per distinct total (an int if the
+    denominator is 1); with no total 0 (the generic case) the combination
+    shares the union's tuple of flats.
     """
-    forms, _, union = _pairing_tensors(v.n, space)
+    _, _, union, (class_of, _, form_rows, _) = _pairing_tensors(v.n, space)
     den = lcm(*(c.denominator for c in v.coords))
-    acc = {}
-    for c, form in zip(v.coords, forms):
-        if not c:
-            continue
-        scale = c.numerator * (den // c.denominator)
-        for flat, value in zip(form.flats, form.values):
-            acc[flat] = acc.get(flat, 0) + scale * value
-    shared, flats, values = {}, [], []
-    for flat in union:
-        total = acc.get(flat)
-        if total:
-            value = shared.get(total)
-            if value is None:
-                value = shared[total] = Fraction(total, den) if den > 1 else total
-            flats.append(flat)
-            values.append(value)
-    flats = union if len(flats) == len(union) else tuple(flats)
+    totals = [0] * len(form_rows[0])
+    for c, row in zip(v.coords, form_rows):
+        if c:
+            totals = list(map(add, totals, map(mul, row, repeat(c.numerator * (den // c.denominator)))))
+    # lists first: a tuple built from an iterator is resized to its length,
+    # and a small one freed then grows that length's free list on every call
+    values, flats = list(map(totals.__getitem__, class_of)), union
+    if 0 in totals:
+        flats, values = tuple(list(compress(union, values))), list(filter(None, values))
+    if den > 1:
+        shared = {total: Fraction(total, den) for total in set(totals)}
+        values = list(map(shared.__getitem__, values))
     return Tensor(v.n, space.dim, flats, tuple(values))
 
 
 def diagonal_row(t: Tensor, space: BilinearSpace) -> tuple:
-    """Contractions of t against the diagonal multivector of every t.n-pairing."""
+    """Contractions of t against the diagonal multivector of every t.n-pairing.
+
+    D_Q is constant on each class and 0 off the union, so <t, D_Q> is the sum
+    over classes of D_Q there times t's integer numerators summed over the
+    class, on their common denominator; those sums serve every Q.
+    """
     if t.dim != space.dim:
         raise InvalidInputError(f"tensor has dim {t.dim}, the space has dim {space.dim}")
-    coeffs = SupportMap(zip(t.flats, t.values))
-    return tuple(
-        contract_support(coeffs, d.flats, d.values) for d in all_diagonal_multivectors(t.n, space)
-    )
+    _, _, _, (_, class_flats, _, diag_rows) = _pairing_tensors(t.n, space)
+    den = lcm(*set(map(attrgetter("denominator"), t.values)))
+    numerators = t.values if den == 1 else [v.numerator * (den // v.denominator) for v in t.values]
+    at = dict(zip(t.flats, numerators))
+    sums = [sum(map(at.get, flats, repeat(0))) for flats in class_flats]
+    return tuple(Fraction(sum(map(mul, row, sums)), den) for row in diag_rows)
 
 
 def diagonal_insertion_matrix(n: int, space: BilinearSpace):
     """Entry (P, P'): contraction of the P form tensor with the P' diagonal.
 
-    Brute force: each form tensor is read at every nonzero position of
-    each diagonal.  Never consults the loop matrix, so comparing the two
-    is a genuine dual-route check.
+    Brute force: each form tensor is summed over the flats of each class of
+    the enumerated supports and weighted by each diagonal.  Never consults
+    the loop matrix, so comparing the two is a genuine dual-route check.
     """
     return tuple(diagonal_row(form, space) for form in all_form_tensors(n, space))
 
@@ -356,18 +396,16 @@ def diagonal_insertion_matrix(n: int, space: BilinearSpace):
 def invariant_map_rank(n: int, space: BilinearSpace):
     """Rank and kernel of the map sending a pairing to its form tensor.
 
-    Row-reduces the (2n-1)!! x dim^2n coefficient matrix exactly, less
-    the columns where every form tensor vanishes: those change neither
-    the rank nor the kernel.  The kernel comes back as pairing vectors:
-    the linear combinations of pairings whose tensors cancel.  One
-    elimination gives both: the rank is (2n-1)!! less the kernel dimension.
+    Row-reduces the (2n-1)!! x dim^2n coefficient matrix exactly, less the
+    columns where every form tensor vanishes and each repeat of an earlier
+    column (the N x #classes form rows): a repeat never holds a pivot and
+    changes no row gcd, so the pivots and the kernel stay.  The kernel comes
+    back as pairing vectors: the linear combinations of pairings whose
+    tensors cancel.  The rank is (2n-1)!! less the kernel dimension.
     """
-    forms = all_form_tensors(n, space)
-    columns = sorted({flat for form in forms for flat in form.flats})
-    maps = (SupportMap(zip(form.flats, form.values)) for form in forms)
-    rows = [[row[flat] for flat in columns] for row in maps]
-    kernel = [PairingVector(n, combo) for combo in linalg.left_kernel(rows)]
-    r = len(rows) - len(kernel)
+    _, _, _, (_, _, form_rows, _) = _pairing_tensors(n, space)
+    kernel = [PairingVector(n, combo) for combo in linalg.left_kernel(form_rows)]
+    r = len(form_rows) - len(kernel)
     expected = sum(
         hook_dimension(lam) for lam in admissible_partitions(n, space.flavor, space.k)
     )

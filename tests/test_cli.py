@@ -149,6 +149,15 @@ def test_trade_past_dense_limit_builds_no_dense_array(capsys, tmp_path, monkeypa
     assert "coeffs" not in report["recovered"][0]["tensor"]
 
 
+# M(3, -6) times the coordinates (1, -1, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, -2):
+# the recovered tensor at symplectic k=3 vanishes on 1,110 of the 1,860 flats
+# where some pairing tensor is nonzero
+SPARSE_CONTRACTIONS = "<sparse contractions file>"
+SPARSE_CONTRACTIONS_DATA = [
+    "-336", "252", "84", "42", "-42", "0", "126", "-504", "42", "-42", "84", "-42", "-84", "-126", "546",
+]
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -165,13 +174,24 @@ def test_trade_past_dense_limit_builds_no_dense_array(capsys, tmp_path, monkeypa
          "69676cb079c876d5dfc25f1e488a1150fb09496fa002ddbd9f118da10238de19"),
         (("oracle", "--n", "3", "--flavor", "orthogonal", "--k", "2", "--check-loop-matrix"),
          "b8ff1bd1cf4020d8d8a558ca7ab0ee58cf3e242001971bb56873889540c79076"),
+        (("oracle", "--n", "3", "--flavor", "symplectic", "--k", "3",
+          "--check-loop-matrix", "--rank"),
+         "73e391b3ce4c5bd63991fdadf390716537d06771d06ce8c799a2a27e70c21fd9"),
+        (("trade", "--n", "3", "--flavor", "symplectic", "--k", "3",
+          "--contractions", SPARSE_CONTRACTIONS),
+         "9e046c2b344d0e1ce6a8b948ef6d58561c072e519ed33a161557768a68a34a5c"),
     ],
-    ids=["nullspace", "left-kernel", "dual-basis", "loopmat", "loopmat-eigen", "check-loop-matrix"],
+    ids=["nullspace", "left-kernel", "dual-basis", "loopmat", "loopmat-eigen", "check-loop-matrix",
+         "rank-dim-6", "trade-sparse"],
 )
-def test_report_is_pinned(capsys, argv, digest):
+def test_report_is_pinned(capsys, tmp_path, argv, digest):
     # sha256 of each report as printed when rank, the kernels and the dual
-    # basis still ran on three separate elimination routines, and the loop
-    # matrix was still stored entry by entry
+    # basis still ran on three separate elimination routines, the loop
+    # matrix was still stored entry by entry, and the oracle still walked
+    # every support entry rather than the distinct columns
+    data = tmp_path / "contractions.json"
+    data.write_text(json.dumps(SPARSE_CONTRACTIONS_DATA))
+    argv = [str(data) if a is SPARSE_CONTRACTIONS else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest

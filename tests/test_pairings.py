@@ -62,6 +62,14 @@ def test_enumeration_bounds():
         enumerate_pairings(7)
 
 
+@pytest.mark.parametrize("n", [2.0, True], ids=["float", "bool"])
+def test_enumeration_refuses_a_non_int_n(n):
+    # the enumeration is cached by n, and 2.0 and True hash like 2 and 1
+    enumerate_pairings(1), enumerate_pairings(2)
+    with pytest.raises(InvalidInputError, match=f"n must be an integer, got {n!r}"):
+        enumerate_pairings(n)
+
+
 def test_ceiling_override(monkeypatch, capsys):
     monkeypatch.setenv("NODAL_TRADE_MAX_N", "3")
     with pytest.raises(ResourceLimitError):

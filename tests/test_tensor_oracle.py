@@ -3,6 +3,8 @@ import gc
 import itertools
 import random
 from fractions import Fraction
+from functools import cache
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -11,8 +13,8 @@ from hypothesis import strategies as st
 
 from nodaltrade import tensor_oracle
 from nodaltrade.errors import InvalidInputError, ResourceLimitError
-from nodaltrade.linalg import rank
-from nodaltrade.loop_matrix import build_loop_matrix, flavor_specialization
+from nodaltrade.linalg import left_kernel, rank
+from nodaltrade.loop_matrix import PairingVector, build_loop_matrix, flavor_specialization
 from nodaltrade.pairings import Pairing, act_permutation, enumerate_pairings
 from nodaltrade.partitions import hook_dimension
 from nodaltrade.loop_matrix import admissible_partitions
@@ -26,6 +28,8 @@ from nodaltrade.tensor_oracle import (
     contract_support,
     diagonal_insertion_matrix,
     diagonal_multivector,
+    diagonal_row,
+    form_combination,
     form_tensor,
     invariant_map_rank,
     permute_slots,
@@ -411,6 +415,99 @@ def test_signed_basis_map_then_its_inverse_returns_the_tensor(n, dim, data):
     moved = permute_slots(t, g, basis)
     assert permute_slots(moved, inverse_g, inverse_basis) == t
     assert permute_slots(t, range(1, order + 1)) == t
+
+
+# -- the class table: form_combination, diagonal_row and invariant_map_rank
+# read the distinct columns of the pairing tensors; each is checked here
+# against a route that walks every coefficient or support entry
+
+
+@cache
+def dense_forms(n, flavor, k):
+    return tuple(form.coeffs for form in all_form_tensors(n, BilinearSpace(flavor, k)))
+
+
+@cache
+def kernel_coords(n, flavor, k):
+    return [v.coords for v in invariant_map_rank(n, BilinearSpace(flavor, k))[1]]
+
+
+small_rationals = st.sampled_from((0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), cell=st.sampled_from(CELLS), data=st.data())
+def test_form_combination_is_the_dense_sum(n, cell, data):
+    space = BilinearSpace(*cell)
+    size = len(enumerate_pairings(n))
+    coords = data.draw(st.lists(small_rationals, min_size=size, max_size=size))
+    kernel = kernel_coords(n, *cell)
+    if kernel and data.draw(st.booleans()):
+        # a kernel vector's own combination is zero on every class, so adding
+        # one makes totals cancel
+        scale = data.draw(small_rationals)
+        extra = kernel[data.draw(st.integers(0, len(kernel) - 1))]
+        coords = [c + scale * e for c, e in zip(coords, extra)]
+    coords = [Fraction(c) for c in coords]
+    den = lcm(*(c.denominator for c in coords))
+    totals = [0] * space.dim ** (2 * n)
+    for c, dense in zip(coords, dense_forms(n, *cell)):
+        scale = c.numerator * (den // c.denominator)
+        totals = [t + scale * x for t, x in zip(totals, dense)]
+    expected = dense_tensor(n, space.dim, [Fraction(t, den) for t in totals])
+    assert form_combination(PairingVector(n, coords), space) == expected
+
+
+def test_form_combination_drops_the_classes_whose_totals_vanish():
+    space = BilinearSpace("symplectic", 3)
+    union = _pairing_tensors(3, space)[2]
+    coords = (1, -1, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, -2)
+    t = form_combination(PairingVector(3, coords), space)
+    assert len(t.flats) == 750 and set(t.flats) < set(union)
+    for n, cell in itertools.product((2, 3), (("orthogonal", 1), ("symplectic", 1))):
+        for v in kernel_coords(n, *cell):
+            assert form_combination(PairingVector(n, v), BilinearSpace(*cell)).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), cell=st.sampled_from(CELLS), kind=st.sampled_from(("form", "moved", "random")),
+       data=st.data())
+def test_diagonal_row_is_the_contraction_with_every_diagonal(n, cell, kind, data):
+    space = BilinearSpace(*cell)
+    forms = all_form_tensors(n, space)
+    t = forms[data.draw(st.integers(0, len(forms) - 1))]
+    if kind == "moved":
+        # slots and a signed basis map move the support off the union
+        g = data.draw(st.permutations(range(1, 2 * n + 1)))
+        images = data.draw(st.permutations(range(space.dim)))
+        signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=space.dim, max_size=space.dim))
+        t = permute_slots(t, g, zip(images, signs))
+    elif kind == "random":
+        entries = data.draw(st.dictionaries(
+            st.integers(0, space.dim ** (2 * n) - 1),
+            st.fractions(min_value=-5, max_value=5, max_denominator=4),
+            max_size=40,
+        ))
+        flats = tuple(sorted(flat for flat, c in entries.items() if c))
+        t = Tensor(n, space.dim, flats, tuple(entries[flat] for flat in flats))
+    expected = tuple(contract(t, d) for d in all_diagonal_multivectors(n, space))
+    assert diagonal_row(t, space) == expected
+
+
+RANK_CELLS = [("orthogonal", k) for k in range(1, 7)] + [("symplectic", k) for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("flavor, k", RANK_CELLS)
+def test_invariant_map_rank_is_the_left_kernel_of_the_union_rows(flavor, k):
+    for n in (1, 2, 3):
+        space = BilinearSpace(flavor, k)
+        forms = all_form_tensors(n, space)
+        union = sorted({flat for form in forms for flat in form.flats})
+        rows = [[at.get(flat, 0) for flat in union] for at in map(dict, (f.support for f in forms))]
+        kernel = left_kernel(rows)
+        r, vectors = invariant_map_rank(n, space)
+        assert [v.coords for v in vectors] == kernel
+        assert r == len(rows) - len(kernel)
 
 
 LOOP_MATRIX_ROUTE = {
