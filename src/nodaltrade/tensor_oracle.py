@@ -92,20 +92,15 @@ class Tensor(Frozen):
         size = dim ** (2 * n)
         if len(flats) != len(values):
             raise InvalidInputError(f"support has {len(flats)} flats but {len(values)} values")
-        # the checks as C-level passes; the loop runs only to name the first offender
-        increasing = not flats or (
+        if flats and not (
             -1 < flats[0] and flats[-1] < size and all(map(lt, flats, islice(flats, 1, None)))
-        )
-        if not (increasing and set(map(type, values)) <= {int, Fraction} and all(values)):
-            last = -1
-            for flat, value in zip(flats, values):
-                if not last < flat < size:
-                    raise InvalidInputError(f"support flats must strictly increase within 0..{size - 1}")
-                if value.__class__ is not int and value.__class__ is not Fraction:
-                    raise InvalidInputError(f"support value {value!r} at flat {flat} is not an int or Fraction")
-                if not value:
-                    raise InvalidInputError("support holds a zero value")
-                last = flat
+        ):
+            raise InvalidInputError(f"support flats must strictly increase within 0..{size - 1}")
+        if not set(map(type, values)) <= {int, Fraction}:
+            flat, value = next((f, v) for f, v in zip(flats, values) if type(v) not in (int, Fraction))
+            raise InvalidInputError(f"support value {value!r} at flat {flat} is not an int or Fraction")
+        if not all(values):
+            raise InvalidInputError("support holds a zero value")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "flats", flats)
@@ -304,29 +299,25 @@ def _class_table(forms, diags, union):
     """Class id of each union flat, the flats of each class, and the form and
     the diagonal values of each class as N x #classes rows.
 
-    Flats whose pairings all have equal (form, diagonal) values there make a
-    class, numbered in order of first occurrence.  A column is keyed by one
-    integer whose base-b digit i numbers pairing i's value pair (0 off its
-    support), so no per-flat column is ever built.
+    A flat's column is its (pairing index, form value, diagonal value)
+    triples, laid end to end, over the pairings nonzero there; flats with
+    equal columns make a class, numbered in order of first occurrence.
     """
-    pairs = {}
-    for form, diag in zip(forms, diags):
-        for pair in zip(form.values, diag.values):
-            pairs.setdefault(pair, len(pairs) + 1)
-    base = len(pairs) + 1
-    column = dict.fromkeys(union, 0)
+    columns = {flat: [] for flat in union}
     for i, (form, diag) in enumerate(zip(forms, diags)):
-        for flat, pair in zip(form.flats, zip(form.values, diag.values)):
-            column[flat] += pairs[pair] * base**i
+        for flat, f, d in zip(form.flats, form.values, diag.values):
+            columns[flat] += i, f, d
     ids = {}
-    class_of = tuple(ids.setdefault(key, len(ids)) for key in column.values())
+    class_of = tuple(ids.setdefault(tuple(column), len(ids)) for column in columns.values())
     class_flats = [[] for _ in ids]
     for flat, c in zip(union, class_of):
         class_flats[c].append(flat)
-    digits = [(0, 0), *pairs]
-    rows = [tuple(digits[key // base**i % base] for key in ids) for i in range(len(forms))]
-    form_rows = tuple(tuple(f for f, _ in row) for row in rows)
-    diag_rows = tuple(tuple(d for _, d in row) for row in rows)
+    # every flat of a class has the same values, so read them at its first
+    firsts = [flats[0] for flats in class_flats]
+    form_rows, diag_rows = (
+        tuple(tuple(map(SupportMap(zip(t.flats, t.values)).__getitem__, firsts)) for t in tensors)
+        for tensors in (forms, diags)
+    )
     return class_of, tuple(map(tuple, class_flats)), form_rows, diag_rows
 
 

@@ -253,6 +253,14 @@ def test_tensor_rejects_malformed_support(support, fragment):
         Tensor(2, 2, flats, values)
 
 
+def test_tensor_refuses_a_value_that_only_claims_to_be_an_int():
+    class Impostor:
+        __class__ = int
+
+    with pytest.raises(InvalidInputError, match="at flat 3 is not an int or Fraction"):
+        Tensor(2, 2, (0, 3), (1, Impostor()))
+
+
 def test_tensor_refuses_flats_and_values_of_different_lengths():
     with pytest.raises(InvalidInputError, match="2 flats but 1 values"):
         Tensor(2, 2, (0, 3), (1,))
