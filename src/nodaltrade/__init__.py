@@ -15,4 +15,13 @@ Submodules:
   cli            single command-line entry point
 """
 
+import os
+
 __version__ = "0.1.0"
+
+
+def read_bundled(name: str):
+    """The parsed JSON of data/<name>, read as a plain file beside this package."""
+    import json  # here, so that importing a submodule does not load json
+    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="utf-8") as fh:
+        return json.load(fh)

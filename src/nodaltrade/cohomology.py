@@ -10,12 +10,11 @@ them.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from . import linalg
+from . import linalg, read_bundled
 from .errors import InvalidInputError, InvalidModelError, UnsupportedCaseError
 from .frozen import Frozen
 from .rationals import as_rational, format_rational, parse_rational
@@ -202,24 +201,13 @@ class CohRing(Frozen, derived=("duals",)):
 
 
 @lru_cache(maxsize=None)
-def _bundled_models() -> dict:
-    # imported here: importlib.resources loads inspect on Python 3.12 and later
-    from importlib import resources
-
-    with resources.files("nodaltrade.data").joinpath("models.json").open() as fh:
-        return json.load(fh)
-
-
-@lru_cache(maxsize=None)
 def load_model(name: str) -> CohRing:
-    """The bundled ring model of that name, parsed and validated once and
-    shared by every caller."""
-    raw = _bundled_models().get(name)
-    if raw is None:
-        raise InvalidInputError(
-            f"unknown model {name!r}; bundled: {sorted(_bundled_models())}"
-        )
-    return ring_from_json(name, raw)
+    """The ring model of that name in data/models.json, parsed and validated
+    once and shared by every caller."""
+    models = read_bundled("models.json")
+    if name not in models:
+        raise InvalidInputError(f"unknown model {name!r}; bundled: {sorted(models)}")
+    return ring_from_json(name, models[name])
 
 
 def ring_from_json(name: str, raw: dict) -> CohRing:

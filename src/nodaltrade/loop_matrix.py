@@ -28,7 +28,7 @@ from .errors import (
     InvalidInputError,
     SubspaceError,
 )
-from .pairings import act_permutation, double_factorial_odd, enumerate_pairings, loop_type
+from .pairings import act_permutation, check_n, double_factorial_odd, enumerate_pairings, loop_type
 from .frozen import Frozen
 from .partitions import (
     Partition,
@@ -83,6 +83,7 @@ def is_admissible(flavor: str, k: int, lam: Partition) -> bool:
 
 
 def admissible_partitions(n: int, flavor: str, k: int) -> list[Partition]:
+    check_n(n)
     flavor_dimension(flavor, k)
     return [lam for lam in even_row_partitions(2 * n) if is_admissible(flavor, k, lam)]
 
@@ -93,15 +94,11 @@ class PairingVector(Frozen):
     __slots__ = ("n", "coords")
 
     def __init__(self, n, coords):
-        if n.__class__ is not int:
-            raise InvalidInputError(f"n must be an integer, got {n!r}")
-        if n < 1:
-            raise InvalidInputError(f"n must be >= 1, got {n}")
+        expected = double_factorial_odd(n)  # checks n
         try:
             coords = tuple(map(as_rational, coords))
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"coordinates for n={n} must be rationals: {exc}") from exc
-        expected = double_factorial_odd(n)
         if len(coords) != expected:
             raise InvalidInputError(
                 f"need {expected} coordinates for n={n}, got {len(coords)}"
@@ -189,6 +186,7 @@ def build_loop_matrix(n: int, x) -> LoopMatrix:
 
 def eigenvalues_at(n: int, x0) -> dict[Partition, Fraction]:
     """Content-product eigenvalues of M(n, x0), one per even-row block."""
+    check_n(n)
     return {lam: content_product(lam, x0) for lam in even_row_partitions(2 * n)}
 
 
@@ -429,6 +427,7 @@ def restricted_inverse_apply(n: int, flavor: str, k: int, v: PairingVector) -> P
     solve is blockwise division by the nonzero content-product eigenvalue,
     applied as one algebra element; the check reads the same buckets.
     """
+    check_n(n)
     if v.n != n:
         raise InvalidInputError(f"vector has n={v.n}, expected {n}")
     flavor_specialization(flavor, k)

@@ -53,6 +53,7 @@ class InvariantTensor(Frozen):
 
     @staticmethod
     def from_coordinates(n: int, space: BilinearSpace, coords) -> "InvariantTensor":
+        check_brute_force_budget(n, space.dim)
         if not isinstance(coords, PairingVector):
             coords = PairingVector(n, coords)
         if coords.n != n:

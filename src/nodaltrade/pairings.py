@@ -3,13 +3,14 @@
 An n-pairing is a fixed-point-free involution on {1, ..., 2n}, stored in
 canonical form: each pair sorted increasingly, pairs sorted by first
 element.  The lexicographic enumeration order fixes the coordinate system
-used by every module downstream.
+used by every module downstream; `check_n` alone decides what an n may be.
 """
 
 from __future__ import annotations
 
 import os
 from functools import lru_cache
+from math import prod
 
 from .errors import InvalidInputError, ResourceLimitError
 from .frozen import Frozen
@@ -43,12 +44,18 @@ def max_pairing_size() -> int:
     return value
 
 
+def check_n(n) -> None:
+    """The one check of a pairing size: an int >= 1, so never a float or a bool."""
+    if n.__class__ is not int:
+        raise InvalidInputError(f"n must be an integer, got {n!r}")
+    if n < 1:
+        raise InvalidInputError(f"n must be >= 1, got {n}")
+
+
 def double_factorial_odd(n: int) -> int:
     """(2n-1)!! = 1 * 3 * ... * (2n-1), the number of n-pairings."""
-    result = 1
-    for i in range(1, 2 * n, 2):
-        result *= i
-    return result
+    check_n(n)
+    return prod(range(1, 2 * n, 2))
 
 
 class Pairing(Frozen):
@@ -122,10 +129,7 @@ def enumerate_pairings(n: int) -> tuple[Pairing, ...]:
     produces exactly the lexicographic order; this order is the global
     coordinate convention.
     """
-    if n.__class__ is not int:
-        raise InvalidInputError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
+    check_n(n)
     ceiling = max_pairing_size()
     if n > ceiling:
         raise ResourceLimitError(

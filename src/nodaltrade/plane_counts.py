@@ -3,16 +3,16 @@ Euler-characteristic count, and the bundled table of quoted counts.
 
 The recursion makes the headline count of rational cubics reproducible
 instead of hardcoded; tangency and relative counts that cannot be derived
-at this scale ship as tabled data, each entry with a provenance note.
+at this scale ship in data/counts.json, each entry with a provenance note.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+from . import read_bundled
 from .errors import InvalidInputError, InvalidModelError, MissingDataError, ResourceLimitError
 from .frozen import Frozen
 from .rationals import parse_rational
@@ -31,9 +31,11 @@ def kontsevich_nd(d: int) -> int:
       N_d = sum over d1+d2=d, d1,d2>=1 of
             N_d1 N_d2 d1^2 d2 (d2 C(3d-4, 3d1-2) - d1 C(3d-4, 3d1-1))
 
-    Exact with big integers, for 1 <= d <= KONTSEVICH_MAX_D; past the
-    ceiling it raises ResourceLimitError.
+    Exact with big integers, for an int 1 <= d <= KONTSEVICH_MAX_D; past
+    the ceiling it raises ResourceLimitError.
     """
+    if d.__class__ is not int:
+        raise InvalidInputError(f"degree must be an integer, got {d!r}")
     if d < 1:
         raise InvalidInputError(f"degree must be >= 1, got {d}")
     if d > KONTSEVICH_MAX_D:
@@ -106,13 +108,7 @@ def lookup_with_provenance(key: str, table: OracleTable | None = None):
 
 @lru_cache(maxsize=None)
 def bundled_table() -> OracleTable:
-    # imported here: importlib.resources loads inspect on Python 3.12 and later
-    from importlib import resources
-
-    with resources.files("nodaltrade.data").joinpath("counts.json").open() as fh:
-        raw = json.load(fh)
-    entries = {
+    return OracleTable({
         key: (parse_rational(item["value"]), item["provenance"])
-        for key, item in raw.items()
-    }
-    return OracleTable(entries)
+        for key, item in read_bundled("counts.json").items()
+    })

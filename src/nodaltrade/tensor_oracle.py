@@ -25,7 +25,7 @@ from . import linalg
 from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
 from .frozen import Frozen
 from .loop_matrix import ORTHOGONAL, PairingVector, admissible_partitions, flavor_dimension
-from .pairings import Pairing, check_permutation, crossing_number, enumerate_pairings
+from .pairings import Pairing, check_n, check_permutation, crossing_number, enumerate_pairings
 from .partitions import hook_dimension
 
 BRUTE_FORCE_MAX_N = 3
@@ -89,6 +89,7 @@ class Tensor(Frozen):
     __slots__ = ("n", "dim", "flats", "values")
 
     def __init__(self, n, dim, flats, values):
+        check_n(n)
         size = dim ** (2 * n)
         if len(flats) != len(values):
             raise InvalidInputError(f"support has {len(flats)} flats but {len(values)} values")
@@ -154,8 +155,7 @@ def slot_weights(dim: int, order: int) -> list[int]:
 
 
 def check_brute_force_budget(n: int, dim: int) -> None:
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
+    check_n(n)
     if n > BRUTE_FORCE_MAX_N or dim > BRUTE_FORCE_MAX_DIM:
         raise ResourceLimitError(
             f"brute force limited to n <= {BRUTE_FORCE_MAX_N} and "
@@ -278,9 +278,9 @@ def permute_slots(t: Tensor, g, basis=None) -> Tensor:
     return Tensor(t.n, t.dim, tuple(f for f, _ in moved), tuple(v for _, v in moved))
 
 
+# n reaches this cache checked (by a vector, a tensor or the reader): the key takes 2.0 for 2
 @lru_cache(maxsize=None)
 def _pairing_tensors(n: int, space: BilinearSpace):
-    check_brute_force_budget(n, space.dim)
     forms, diags, shared = [], [], {}
     for p in enumerate_pairings(n):
         flats, form, diag = pairing_supports(p, space)
@@ -323,11 +323,13 @@ def _class_table(forms, diags, union):
 
 def all_form_tensors(n: int, space: BilinearSpace):
     """The form tensors of all n-pairings in enumeration order, built once."""
+    check_brute_force_budget(n, space.dim)
     return _pairing_tensors(n, space)[0]
 
 
 def all_diagonal_multivectors(n: int, space: BilinearSpace):
     """The diagonal multivectors of all n-pairings in enumeration order, built once."""
+    check_brute_force_budget(n, space.dim)
     return _pairing_tensors(n, space)[1]
 
 
@@ -394,6 +396,7 @@ def invariant_map_rank(n: int, space: BilinearSpace):
     back as pairing vectors: the linear combinations of pairings whose
     tensors cancel.  The rank is (2n-1)!! less the kernel dimension.
     """
+    check_brute_force_budget(n, space.dim)
     _, _, _, (_, _, form_rows, _) = _pairing_tensors(n, space)
     kernel = [PairingVector(n, combo) for combo in linalg.left_kernel(form_rows)]
     r = len(form_rows) - len(kernel)

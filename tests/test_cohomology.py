@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import nodaltrade
 from nodaltrade.cohomology import (
     CohRing,
     InsertionList,
@@ -30,6 +34,28 @@ def test_bundled_models_load_and_validate():
         assert ring.size >= 1
     with pytest.raises(InvalidInputError):
         load_model("p3")
+
+
+def test_reading_the_bundled_data_imports_no_resource_machinery():
+    # -S: a site .pth file may import importlib.resources at every start-up
+    script = (
+        "import sys, nodaltrade.cli\n"
+        "from nodaltrade.cohomology import load_model\n"
+        "from nodaltrade.plane_counts import bundled_table\n"
+        "for name in ('p2', 'f1', 'p1', 'elliptic', 'point'):\n"
+        "    load_model(name)\n"
+        "bundled_table()\n"
+        "print(sorted({'importlib.resources', 'pathlib'} & set(sys.modules)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(nodaltrade.__file__))
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout == "[]\n"
 
 
 def test_bundled_models_are_shared_and_read_only():

@@ -1,10 +1,22 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nodaltrade import loop_matrix, pairings, partitions, plane_counts, tensor_oracle
 from nodaltrade.errors import InvalidInputError, ResourceLimitError
+from nodaltrade.loop_matrix import (
+    PairingVector,
+    admissible_partitions,
+    build_loop_matrix,
+    eigenspace_decomposition,
+    eigenvalues_at,
+    find_generic_specialization,
+    restricted_inverse_apply,
+)
+from nodaltrade.node_trade import InvariantTensor, recover
 from nodaltrade.pairings import (
     Pairing,
     act_permutation,
@@ -14,6 +26,16 @@ from nodaltrade.pairings import (
     loop_number,
     loop_type,
     permutation_sign,
+)
+from nodaltrade.plane_counts import kontsevich_nd
+from nodaltrade.tensor_oracle import (
+    BilinearSpace,
+    Tensor,
+    all_diagonal_multivectors,
+    all_form_tensors,
+    check_brute_force_budget,
+    diagonal_insertion_matrix,
+    invariant_map_rank,
 )
 
 
@@ -68,6 +90,68 @@ def test_enumeration_refuses_a_non_int_n(n):
     enumerate_pairings(1), enumerate_pairings(2)
     with pytest.raises(InvalidInputError, match=f"n must be an integer, got {n!r}"):
         enumerate_pairings(n)
+
+
+SPACE = BilinearSpace("orthogonal", 2)
+VECTOR = PairingVector(2, (1, 0, 0))
+
+# every public entry point that takes a pairing size n, and kontsevich_nd's degree
+GATED = {
+    "enumerate_pairings": enumerate_pairings,
+    "double_factorial_odd": double_factorial_odd,
+    "PairingVector": lambda n: PairingVector(n, (0, 0, 0)),
+    "PairingVector.zero": PairingVector.zero,
+    "build_loop_matrix": lambda n: build_loop_matrix(n, 2),
+    "eigenvalues_at": lambda n: eigenvalues_at(n, 7),
+    "find_generic_specialization": find_generic_specialization,
+    "eigenspace_decomposition": eigenspace_decomposition,
+    "admissible_partitions": lambda n: admissible_partitions(n, "orthogonal", 2),
+    "restricted_inverse_apply": lambda n: restricted_inverse_apply(n, "orthogonal", 2, VECTOR),
+    "Tensor": lambda n: Tensor(n, 2, (), ()),
+    "check_brute_force_budget": lambda n: check_brute_force_budget(n, 2),
+    "all_form_tensors": lambda n: all_form_tensors(n, SPACE),
+    "all_diagonal_multivectors": lambda n: all_diagonal_multivectors(n, SPACE),
+    "diagonal_insertion_matrix": lambda n: diagonal_insertion_matrix(n, SPACE),
+    "invariant_map_rank": lambda n: invariant_map_rank(n, SPACE),
+    "InvariantTensor.from_coordinates": lambda n: InvariantTensor.from_coordinates(n, SPACE, (0, 0, 0)),
+    "InvariantTensor.from_coordinates-vector": lambda n: InvariantTensor.from_coordinates(n, SPACE, VECTOR),
+    "InvariantTensor.zero": lambda n: InvariantTensor.zero(n, SPACE),
+    "recover": lambda n: recover((0, 0, 0), n, SPACE),
+    "kontsevich_nd": kontsevich_nd,
+}
+
+
+CACHED = [
+    value
+    for module in (pairings, partitions, loop_matrix, tensor_oracle, plane_counts)
+    for value in vars(module).values()
+    if hasattr(value, "cache_info")
+]
+
+
+def _refuses_bad_values(call, argument):
+    for value in (2.0, True, 0, -1):
+        if value.__class__ is int:
+            message = f"{argument} must be >= 1, got {value}"
+        else:
+            message = f"{argument} must be an integer, got {value!r}"
+        hits = [f.cache_info().hits for f in CACHED]
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            call(value)
+        assert [f.cache_info().hits for f in CACHED] == hits, "a cache was read first"
+
+
+@pytest.mark.parametrize("name", list(GATED))
+def test_every_entry_point_refuses_a_bad_n_before_any_cache(name):
+    # caches keyed by n take 2.0 and True for 2 and 1, so each entry point
+    # must refuse them before reading any cache: cold, then with n=2 cached
+    argument = "degree" if name == "kontsevich_nd" else "n"
+    for f in CACHED:
+        f.cache_clear()
+    _refuses_bad_values(GATED[name], argument)
+    for call in GATED.values():
+        call(2)
+    _refuses_bad_values(GATED[name], argument)
 
 
 def test_ceiling_override(monkeypatch, capsys):
