@@ -23,14 +23,16 @@ class Frozen:
 
     The class keyword `derived` names the fields that `__init__` computes
     from the others; they are left out of the repr, the comparison and
-    `replace`.  A class with an unhashable compared field is unhashable.
+    `replace`.  A class that stores another form than its constructor takes
+    names, with `fields`, the properties that read its fields back.  A class
+    with an unhashable compared field is unhashable.
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls, derived=(), **kwargs):
+    def __init_subclass__(cls, derived=(), fields=None, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(f for f in cls.__slots__ if f not in derived)
+        cls._fields = fields or tuple(f for f in cls.__slots__ if f not in derived)
         cls._key = attrgetter(*cls._fields)
 
     def _set(self, *values):

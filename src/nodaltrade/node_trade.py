@@ -3,8 +3,9 @@
 The linear system is M w = data over the pairing basis, where M is the
 loop matrix at the flavor's specialization point.  M is invertible exactly
 on the invariant subspace, so a data vector arising from an invariant
-tensor is recovered by the blockwise restricted inverse and re-expanded
-through the form tensors.  `tensor_oracle` owns the tensor format.
+tensor is recovered by the blockwise restricted inverse, and an
+`InvariantTensor` derives its tensor from those coordinates through the
+form tensors.  `tensor_oracle` owns the tensor format.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ def primitive_insertion_pairs(a: int) -> int:
     With an odd number of primitive insertions the invariant is zero and
     there is nothing to solve for.
     """
+    if a.__class__ is not int:
+        raise InvalidInputError(f"insertion count must be an integer, got {a!r}")
     if a < 0:
         raise InvalidInputError(f"insertion count must be >= 0, got {a}")
     if a % 2:
@@ -38,28 +41,27 @@ def primitive_insertion_pairs(a: int) -> int:
     return a // 2
 
 
-class InvariantTensor(Frozen):
-    """An invariant tensor together with pairing-basis coordinates.
+class InvariantTensor(Frozen, derived=("tensor",)):
+    """Pairing-basis coordinates together with their invariant tensor.
 
-    The tensor always equals the expansion of `coordinates` through the
-    form tensors, which places it in the image of the pairing map and
-    hence in the invariant subspace.
+    The tensor is derived: it is the expansion of `coordinates` through the
+    form tensors, which places it in the image of the pairing map and hence
+    in the invariant subspace.  It is left out of equality and the repr.
     """
 
-    __slots__ = ("n", "space", "tensor", "coordinates")
+    __slots__ = ("n", "space", "coordinates", "tensor")
 
-    def __init__(self, n, space, tensor, coordinates):
-        self._set(n, space, tensor, coordinates)
+    def __init__(self, n, space, coordinates):
+        check_brute_force_budget(n, space.dim)
+        if not isinstance(coordinates, PairingVector):
+            coordinates = PairingVector(n, coordinates)
+        if coordinates.n != n:
+            raise InvalidInputError(f"coordinates are for n={coordinates.n}, not n={n}")
+        self._set(n, space, coordinates, form_combination(coordinates, space))
 
     @staticmethod
     def from_coordinates(n: int, space: BilinearSpace, coords) -> "InvariantTensor":
-        check_brute_force_budget(n, space.dim)
-        if not isinstance(coords, PairingVector):
-            coords = PairingVector(n, coords)
-        if coords.n != n:
-            raise InvalidInputError(f"coordinates are for n={coords.n}, not n={n}")
-        tensor = form_combination(coords, space)
-        return InvariantTensor(n=n, space=space, tensor=tensor, coordinates=coords)
+        return InvariantTensor(n, space, coords)
 
     @staticmethod
     def zero(n: int, space: BilinearSpace) -> "InvariantTensor":
@@ -119,14 +121,14 @@ def recover(contractions, n: int, space: BilinearSpace, sign: int = 1) -> Invari
     inadmissible block cannot come from an invariant tensor and is
     rejected.
     """
-    if sign not in (1, -1):
+    if sign not in (1, -1) or isinstance(sign, float):
         raise InvalidInputError(f"sign must be +1 or -1, got {sign}")
     check_brute_force_budget(n, space.dim)
     if not isinstance(contractions, PairingVector):
         contractions = PairingVector(n, contractions)
     if contractions.n != n:
         raise InvalidInputError("contraction vector size does not match n")
-    data = contractions.scale(sign)
+    data = contractions if sign == 1 else contractions.scale(-1)
     try:
         coords = restricted_inverse_apply(n, space.flavor, space.k, data)
     except SubspaceError as exc:

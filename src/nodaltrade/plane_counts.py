@@ -64,6 +64,9 @@ def pencil_reducible_count(chi_surface: int, num_basepoints: int) -> int:
     characteristic is (2-k)*2 + k*3 = k+4 when k fibers break into two
     components, so k = chi(surface) + #basepoints - 4.
     """
+    for name, count in (("chi", chi_surface), ("base point count", num_basepoints)):
+        if count.__class__ is not int:
+            raise InvalidInputError(f"{name} must be an integer, got {count!r}")
     if num_basepoints < 0:
         raise InvalidInputError("base point count must be >= 0")
     k = chi_surface + num_basepoints - 4

@@ -1,12 +1,12 @@
 """Brute-force multilinear oracles on explicit orthogonal/symplectic spaces.
 
-Builds the covariant pairing tensors and the contravariant diagonal
-multivectors as supports (their nonzero entries, enumerated directly),
-stores every tensor as its support, and owns that format: linear
-combinations, slot and basis remaps, contractions and the report form.
-Combinations, contraction rows and the rank read a class table built
-from those supports: the flats grouped by their distinct column of
-pairing values (140 classes for 1,860 flats at n=3, dim 6).
+Enumerates the supports of the covariant pairing tensors and the
+contravariant diagonal multivectors and groups their flats into a class
+table: the flats with one column of pairing values share a class (140
+classes for 1,860 flats at n=3, dim 6).  Every tensor is one value per
+class; the pairing tensors and their combinations share their cell's table.
+The module owns that format: combinations, slot and basis remaps,
+contractions, the rank, and views of the nonzero coefficients on access.
 The central assertion of the module is that the matrix of contractions
 reproduces the loop matrix at x = k (orthogonal) or x = -2k (symplectic);
 tests and the CLI perform that comparison entrywise, keeping the two
@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, islice, product, repeat
 from math import lcm, prod
-from operator import add, attrgetter, lt, mul
+from operator import attrgetter, lt, mul
 
 from . import linalg
 from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
@@ -73,20 +73,21 @@ class BilinearSpace(Frozen):
         return tuple(tuple(-x for x in row) for row in self.form)
 
 
-class Tensor(Frozen):
-    """Order-2n tensor stored as its support, in two parallel tuples.
+class Tensor(Frozen, fields=("n", "dim", "flats", "values")):
+    """Order-2n tensor stored as one value per class of a class table.
 
-    `flats` holds the flat positions of the nonzero coefficients, strictly
-    increasing, and `values` the coefficients there; index (a_1, ..., a_2n)
-    with 0-based a_i lives at flat position sum a_i * dim^(2n - i) (see
-    `slot_weights`).  Tensors with the same nonzero pattern may share one
-    `flats` tuple.  The pairing tensors of this module come from
-    enumerating every index choice that hits a nonzero form entry (see
-    `pairing_supports`), so the route is still brute force and shares no
-    code with the loop matrix.
+    The table pairs strictly increasing flat positions with the class of
+    each; index (a_1, ..., a_2n) with 0-based a_i lives at flat position
+    sum a_i * dim^(2n - i) (see `slot_weights`) and holds its class's value,
+    0 off the table.  The pairing tensors and their combinations share their
+    cell's table (see `_pairing_tensors`); `Tensor(n, dim, flats, values)`
+    gets a table of single-flat classes.  `flats`, `values`, `support`,
+    `coeffs`, `coefficient` and `to_json` read the nonzero coefficients,
+    built on each access; equality compares class values on a shared table
+    and these views otherwise.
     """
 
-    __slots__ = ("n", "dim", "flats", "values")
+    __slots__ = ("n", "dim", "table", "class_values")
 
     def __init__(self, n, dim, flats, values):
         check_n(n)
@@ -102,10 +103,36 @@ class Tensor(Frozen):
             raise InvalidInputError(f"support value {value!r} at flat {flat} is not an int or Fraction")
         if not all(values):
             raise InvalidInputError("support holds a zero value")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "flats", flats)
-        object.__setattr__(self, "values", values)
+        self._set(n, dim, (flats, range(len(flats))), list(values))
+
+    @classmethod
+    def _over(cls, n, dim, table, class_values):
+        """The tensor with these values on the classes of a checked table, in a
+        list never changed: CPython 3.11 never reuses a freed 20-item tuple (it
+        keeps 2,000), and a cell with 20 classes would free two per roundtrip."""
+        if not set(map(type, class_values)) <= {int, Fraction}:
+            raise InvalidInputError("class values must be ints or Fractions")
+        t = cls.__new__(cls)
+        t._set(n, dim, table, class_values)
+        return t
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__ and other.table is self.table:
+            return self.class_values == other.class_values  # one table per (n, space)
+        return Frozen.__eq__(self, other)
+
+    __hash__ = Frozen.__hash__
+
+    @property
+    def flats(self) -> tuple:
+        """The flat positions of the nonzero coefficients, increasing."""
+        (flats, class_of), values = self.table, self.class_values
+        return flats if all(values) else tuple(compress(flats, map(values.__getitem__, class_of)))
+
+    @property
+    def values(self) -> tuple:
+        """The nonzero coefficients, in flat order."""
+        return tuple(filter(None, map(self.class_values.__getitem__, self.table[1])))
 
     @property
     def support(self) -> tuple:
@@ -119,7 +146,7 @@ class Tensor(Frozen):
     @property
     def coeffs(self) -> tuple:
         """Every coefficient in flat order: the dense view, built on each access."""
-        coefficient = SupportMap(zip(self.flats, self.values))
+        coefficient = SupportMap(self.support)
         return tuple(coefficient[flat] for flat in range(self.dim ** self.order))
 
     def coefficient(self, index) -> Fraction:
@@ -129,10 +156,10 @@ class Tensor(Frozen):
             if not 0 <= a < self.dim:
                 raise InvalidInputError(f"index entry {a} out of range 0..{self.dim - 1}")
         flat = sum(map(mul, index, slot_weights(self.dim, self.order)))
-        return Fraction(SupportMap(zip(self.flats, self.values))[flat])
+        return Fraction(SupportMap(self.support)[flat])
 
     def is_zero(self) -> bool:
-        return not self.flats
+        return not any(self.class_values)
 
     def to_json(self) -> dict:
         """Every coefficient up to DENSE_COEFF_LIMIT of them, else the nonzero ones by flat."""
@@ -140,7 +167,7 @@ class Tensor(Frozen):
         if self.dim ** self.order <= DENSE_COEFF_LIMIT:
             out["coeffs"] = [Fraction(c) for c in self.coeffs]
         else:
-            out["nonzero"] = {flat: Fraction(c) for flat, c in zip(self.flats, self.values)}
+            out["nonzero"] = {flat: Fraction(c) for flat, c in self.support}
         return out
 
 
@@ -172,8 +199,9 @@ def pairing_supports(p: Pairing, space: BilinearSpace):
     inverse form for the contravariant one.  The two matrices have the
     same nonzero entries (I^-1 = I, J^-1 = -J), so one enumeration over
     every choice of a nonzero entry per pair yields both supports on one
-    tuple of flats, sorted; `Tensor` refuses a zero value, should the
-    patterns ever differ.  Equal value tuples come back as one tuple.
+    tuple of flats, sorted; should the patterns ever differ, `Tensor`
+    refuses a zero value and a class table leaves it out of the views.
+    Equal value tuples come back as one tuple.
 
     The symplectic flavor takes each factor in increasing slot order and
     carries the global crossing sign (-1)^c(P); the orthogonal factor is
@@ -281,44 +309,41 @@ def permute_slots(t: Tensor, g, basis=None) -> Tensor:
 # n reaches this cache checked (by a vector, a tensor or the reader): the key takes 2.0 for 2
 @lru_cache(maxsize=None)
 def _pairing_tensors(n: int, space: BilinearSpace):
-    forms, diags, shared = [], [], {}
-    for p in enumerate_pairings(n):
-        flats, form, diag = pairing_supports(p, space)
-        # pairings share equal flats and value tuples (a few sign patterns)
-        flats = tuple(map(shared.setdefault, flats, flats))
-        form, diag = shared.setdefault(form, form), shared.setdefault(diag, diag)
-        forms.append(Tensor(n, space.dim, flats, form))
-        diags.append(Tensor(n, space.dim, flats, diag))
-    # the tensors in enumeration order, the sorted union of their flats (the
-    # support of a generic combination) and the class table over that union
-    union = tuple(sorted({flat for form in forms for flat in form.flats}))
-    return tuple(forms), tuple(diags), union, _class_table(forms, diags, union)
-
-
-def _class_table(forms, diags, union):
-    """Class id of each union flat, the flats of each class, and the form and
-    the diagonal values of each class as N x #classes rows.
+    """The form tensors and diagonal multivectors of all n-pairings in
+    enumeration order, on the cell's class table; the union of their flats
+    (the support of a generic combination); the table, each form tensor and
+    diagonal as the classes where it is nonzero and its values there (sparse
+    rows), and the size and the flats of each class.
 
     A flat's column is its (pairing index, form value, diagonal value)
     triples, laid end to end, over the pairings nonzero there; flats with
     equal columns make a class, numbered in order of first occurrence.
     """
-    columns = {flat: [] for flat in union}
-    for i, (form, diag) in enumerate(zip(forms, diags)):
-        for flat, f, d in zip(form.flats, form.values, diag.values):
-            columns[flat] += i, f, d
+    pairings, columns = enumerate_pairings(n), {}
+    for i, p in enumerate(pairings):
+        for flat, f, d in zip(*pairing_supports(p, space)):
+            columns.setdefault(flat, []).extend((i, f, d))
+    union = tuple(sorted(columns))
     ids = {}
-    class_of = tuple(ids.setdefault(tuple(column), len(ids)) for column in columns.values())
+    class_of = tuple(ids.setdefault(tuple(columns[flat]), len(ids)) for flat in union)
     class_flats = [[] for _ in ids]
     for flat, c in zip(union, class_of):
         class_flats[c].append(flat)
-    # every flat of a class has the same values, so read them at its first
-    firsts = [flats[0] for flats in class_flats]
-    form_rows, diag_rows = (
-        tuple(tuple(map(SupportMap(zip(t.flats, t.values)).__getitem__, firsts)) for t in tensors)
-        for tensors in (forms, diags)
+    form_rows, diag_rows = ([[0] * len(ids) for _ in pairings] for _ in "fd")
+    for c, column in enumerate(ids):
+        for i, f, d in zip(*[iter(column)] * 3):
+            form_rows[i][c], diag_rows[i][c] = f, d
+    table = (union, class_of)
+    forms, diags = (
+        tuple(Tensor._over(n, space.dim, table, row) for row in rows)
+        for rows in (form_rows, diag_rows)
     )
-    return class_of, tuple(map(tuple, class_flats)), form_rows, diag_rows
+    form_sparse, diag_sparse = (
+        tuple((tuple(c for c, v in enumerate(row) if v), tuple(filter(None, row))) for row in rows)
+        for rows in (form_rows, diag_rows)
+    )
+    sizes = tuple(map(len, class_flats))
+    return forms, diags, union, (table, form_sparse, diag_sparse, sizes, tuple(map(tuple, class_flats)))
 
 
 def all_form_tensors(n: int, space: BilinearSpace):
@@ -337,50 +362,57 @@ def form_combination(v: PairingVector, space: BilinearSpace) -> Tensor:
     """sum c_P * T_P over the form tensors, c the coordinates of v.
 
     Adds integers over the coordinates' common denominator, one total per
-    class, and spreads them to the union flats by class id, dropping a class
-    whose total is 0.  One value is stored per distinct total (an int if the
-    denominator is 1); with no total 0 (the generic case) the combination
-    shares the union's tuple of flats.
+    class, each pairing to the classes where its form tensor is nonzero, and
+    keeps the totals on the cell's class table; a class whose total is 0 is
+    absent from the views.  One value is stored per distinct total (an int
+    if the denominator is 1).
     """
-    _, _, union, (class_of, _, form_rows, _) = _pairing_tensors(v.n, space)
+    _, _, _, (table, form_sparse, _, sizes, _) = _pairing_tensors(v.n, space)
     den = lcm(*(c.denominator for c in v.coords))
-    totals = [0] * len(form_rows[0])
-    for c, row in zip(v.coords, form_rows):
+    totals = [0] * len(sizes)
+    for c, (classes, values) in zip(v.coords, form_sparse):
         if c:
-            totals = list(map(add, totals, map(mul, row, repeat(c.numerator * (den // c.denominator)))))
-    # lists first: a tuple built from an iterator is resized to its length,
-    # and a small one freed then grows that length's free list on every call
-    values, flats = list(map(totals.__getitem__, class_of)), union
-    if 0 in totals:
-        flats, values = tuple(list(compress(union, values))), list(filter(None, values))
+            c = c.numerator * (den // c.denominator)
+            for i, value in zip(classes, values):
+                totals[i] += c * value
     if den > 1:
         shared = {total: Fraction(total, den) for total in set(totals)}
-        values = list(map(shared.__getitem__, values))
-    return Tensor(v.n, space.dim, flats, tuple(values))
+        totals = list(map(shared.__getitem__, totals))
+    return Tensor._over(v.n, space.dim, table, totals)
 
 
 def diagonal_row(t: Tensor, space: BilinearSpace) -> tuple:
     """Contractions of t against the diagonal multivector of every t.n-pairing.
 
     D_Q is constant on each class and 0 off the union, so <t, D_Q> is the sum
-    over classes of D_Q there times t's integer numerators summed over the
-    class, on their common denominator; those sums serve every Q.
+    over the classes where D_Q is nonzero of D_Q there times t's integer
+    numerators summed over the class, on their common denominator.  On the
+    cell's table that sum is the class size times t's class value; any other
+    tensor is summed class by class from its view.
     """
     if t.dim != space.dim:
         raise InvalidInputError(f"tensor has dim {t.dim}, the space has dim {space.dim}")
-    _, _, _, (_, class_flats, _, diag_rows) = _pairing_tensors(t.n, space)
-    den = lcm(*set(map(attrgetter("denominator"), t.values)))
-    numerators = t.values if den == 1 else [v.numerator * (den // v.denominator) for v in t.values]
-    at = dict(zip(t.flats, numerators))
-    sums = [sum(map(at.get, flats, repeat(0))) for flats in class_flats]
-    return tuple(Fraction(sum(map(mul, row, sums)), den) for row in diag_rows)
+    _, _, _, (table, _, diag_sparse, sizes, class_flats) = _pairing_tensors(t.n, space)
+    on_table = t.table is table
+    values = t.class_values if on_table else t.values
+    den = lcm(*set(map(attrgetter("denominator"), values)))
+    numerators = values if den == 1 else [v.numerator * (den // v.denominator) for v in values]
+    if on_table:
+        sums = list(map(mul, sizes, numerators))
+    else:
+        at = dict(zip(t.flats, numerators))
+        sums = [sum(map(at.get, flats, repeat(0))) for flats in class_flats]
+    return tuple(
+        Fraction(sum(map(mul, weights, map(sums.__getitem__, classes))), den)
+        for classes, weights in diag_sparse
+    )
 
 
 def diagonal_insertion_matrix(n: int, space: BilinearSpace):
     """Entry (P, P'): contraction of the P form tensor with the P' diagonal.
 
-    Brute force: each form tensor is summed over the flats of each class of
-    the enumerated supports and weighted by each diagonal.  Never consults
+    Brute force: the class values of each form tensor, times the class sizes
+    of the enumerated supports, weighted by each diagonal.  Never consults
     the loop matrix, so comparing the two is a genuine dual-route check.
     """
     return tuple(diagonal_row(form, space) for form in all_form_tensors(n, space))
@@ -397,7 +429,7 @@ def invariant_map_rank(n: int, space: BilinearSpace):
     tensors cancel.  The rank is (2n-1)!! less the kernel dimension.
     """
     check_brute_force_budget(n, space.dim)
-    _, _, _, (_, _, form_rows, _) = _pairing_tensors(n, space)
+    form_rows = [form.class_values for form in _pairing_tensors(n, space)[0]]
     kernel = [PairingVector(n, combo) for combo in linalg.left_kernel(form_rows)]
     r = len(form_rows) - len(kernel)
     expected = sum(

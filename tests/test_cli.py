@@ -197,6 +197,35 @@ def test_report_is_pinned(capsys, tmp_path, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# M(3, x) times (1/2, -1/3, 0, 0, 0, 0, 0, 3/4, 0, 0, 0, 0, 0, 0, -2) in two cells
+# where the form tensors are dependent: the recovered coordinates are the
+# projection, and the tensor holds fractions and vanishes on 196 of 400 and on
+# 12 of 32 union flats
+@pytest.mark.parametrize(
+    "flavor, contractions, digest",
+    [
+        ("symplectic",
+         ["-217/3", "103/3", "68/3", "43/3", "-82/3", "13/3", "88/3", "-242/3", "38/3", "-7/3",
+          "58/3", "-77/3", "-107/3", "-127/3", "448/3"],
+         "56d94a5d34eb4aa6e85f03234e37d44e0eefc90262fb52d72c5aa5b8d21fbd1f"),
+        ("orthogonal",
+         ["-23/6", "-19/6", "-1/3", "-7/6", "-16/3", "-13/6", "1/3", "-5/3", "-4/3", "-17/6",
+          "-2/3", "-31/6", "-37/6", "-41/6", "-35/3"],
+         "5f1f855f125b5ce4f87fda0d5ececd2d1c61177622eb8afd2350aa0af753ac0a"),
+    ],
+    ids=["symplectic-k2", "orthogonal-k2"],
+)
+def test_trade_report_with_zero_classes_is_pinned(capsys, tmp_path, flavor, contractions, digest):
+    # digests as printed when every tensor was stored flat by flat
+    data = tmp_path / "contractions.json"
+    data.write_text(json.dumps(contractions))
+    code, out, err = run_cli(
+        capsys, "trade", "--n", "3", "--flavor", flavor, "--k", "2", "--contractions", str(data),
+    )
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_trade_past_brute_force_budget_exits_2(capsys, tmp_path):
     data = tmp_path / "n4.json"
     data.write_text(json.dumps(["0"] * 105))

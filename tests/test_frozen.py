@@ -109,7 +109,7 @@ def value_pairs(draw):
 def test_frozen_values_behave_like_frozen_dataclasses(case):
     cls, a, b, changed = case
     x, y = cls(**a), cls(**b)
-    names = cls.__slots__  # the fields in declaration order
+    names = cls._fields  # the constructor's fields in declaration order (views for Tensor)
 
     # equal fields <=> equal values, and equal values hash alike
     assert (x == y) == (a == b) and (x != y) == (a != b)

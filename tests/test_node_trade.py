@@ -35,6 +35,40 @@ def test_odd_insertions_refused():
         primitive_insertion_pairs(-2)
 
 
+@pytest.mark.parametrize("a", [4.0, True, 2.5], ids=["float", "bool", "half"])
+def test_insertion_count_refuses_a_float_or_a_bool(a):
+    with pytest.raises(InvalidInputError, match=f"^insertion count must be an integer, got {a!r}$"):
+        primitive_insertion_pairs(a)
+    with pytest.raises(InvalidInputError, match="^insertion count must be >= 0, got -2$"):
+        primitive_insertion_pairs(-2)
+
+
+def test_invariant_tensor_derives_its_tensor_from_its_coordinates():
+    space = BilinearSpace("orthogonal", 1)
+    with pytest.raises(TypeError):
+        InvariantTensor(1, space, Tensor(1, 1, (0,), (5,)), PairingVector(1, [1]))
+    omega = InvariantTensor(1, space, PairingVector(1, [1]))
+    assert omega.tensor == Tensor(1, 1, (0,), (1,))
+    assert contract_with_all_diagonals(omega).coords == (1,)
+    assert omega == InvariantTensor.from_coordinates(1, space, (1,))
+    assert "tensor" not in repr(omega) and omega.replace() == omega
+    assert omega.replace(coordinates=PairingVector(1, [5])).tensor == Tensor(1, 1, (0,), (5,))
+    with pytest.raises(InvalidInputError, match="coordinates are for n=2, not n=1"):
+        InvariantTensor(1, space, PairingVector(2, (1, 2, 3)))
+
+
+def test_recover_scales_only_for_a_negative_sign(monkeypatch):
+    space = BilinearSpace("symplectic", 1)
+    data = PairingVector(1, (Fraction(2),))
+    with monkeypatch.context() as patch:
+        patch.setattr(PairingVector, "scale", lambda self, c: pytest.fail("scaled by +1"))
+        assert recover(data, 1, space).coordinates.coords == (-1,)
+    assert recover(data, 1, space, sign=-1).coordinates.coords == (1,)
+    for sign in (2, 0, 1.0, -1.0):
+        with pytest.raises(InvalidInputError, match=f"^sign must be \\+1 or -1, got {sign}$"):
+            recover(data, 1, space, sign=sign)
+
+
 def test_symplectic_form_contraction_is_minus_two():
     # the invariant built from the single 1-pairing is the form itself
     space = BilinearSpace("symplectic", 1)
@@ -248,6 +282,24 @@ def test_no_dense_view_off_the_output_path(monkeypatch):
     tensor_oracle.all_diagonal_multivectors(3, space)
     tensor_oracle.diagonal_insertion_matrix(2, space)
     tensor_oracle.invariant_map_rank(2, space)
+
+
+def test_roundtrip_reads_no_view_of_a_tensor(monkeypatch):
+    # expansion, contraction, recovery and comparison stay on the class values
+    from nodaltrade import tensor_oracle
+
+    def refuse(self):
+        raise AssertionError("a tensor view was built")
+
+    for view in ("flats", "values", "support", "coeffs"):
+        monkeypatch.setattr(tensor_oracle.Tensor, view, property(refuse))
+    monkeypatch.setattr(tensor_oracle.Tensor, "coefficient", refuse)
+    monkeypatch.setattr(tensor_oracle.Tensor, "to_json", refuse)
+    space = BilinearSpace("symplectic", 3)
+    coords = (Fraction(1, 2), -1, 0, 0, 0, 0, 0, Fraction(2, 3), 0, 0, 0, 0, 0, 0, -2)
+    omega = InvariantTensor.from_coordinates(3, space, coords)
+    back = recover(contract_with_all_diagonals(omega), 3, space)
+    assert back.tensor == omega.tensor and back.tensor != InvariantTensor.zero(3, space).tensor
 
 
 def test_brute_force_budget_on_every_entry_point():

@@ -63,6 +63,23 @@ def test_pencil_counts():
         pencil_reducible_count(2, 1)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((4.0, 5), "chi must be an integer, got 4.0"),
+        ((True, 5), "chi must be an integer, got True"),
+        ((4, 5.0), "base point count must be an integer, got 5.0"),
+        ((4, False), "base point count must be an integer, got False"),
+    ],
+    ids=["float-chi", "bool-chi", "float-basepoints", "bool-basepoints"],
+)
+def test_pencil_count_refuses_a_float_or_a_bool(args, message):
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        pencil_reducible_count(*args)
+    with pytest.raises(InvalidInputError, match="^base point count must be >= 0$"):
+        pencil_reducible_count(4, -1)
+
+
 def test_pencil_count_affine_in_each_argument():
     for chi in range(3, 7):
         for bp in range(1, 6):

@@ -443,20 +443,24 @@ def kernel_coords(n, flavor, k):
 small_rationals = st.sampled_from((0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 3), cell=st.sampled_from(CELLS), data=st.data())
-def test_form_combination_is_the_dense_sum(n, cell, data):
-    space = BilinearSpace(*cell)
+def drawn_coords(n, cell, data):
+    """Small rationals, plus a kernel vector half the time where there is one:
+    its own combination is zero on every class, so adding it makes totals cancel."""
     size = len(enumerate_pairings(n))
     coords = data.draw(st.lists(small_rationals, min_size=size, max_size=size))
     kernel = kernel_coords(n, *cell)
     if kernel and data.draw(st.booleans()):
-        # a kernel vector's own combination is zero on every class, so adding
-        # one makes totals cancel
         scale = data.draw(small_rationals)
         extra = kernel[data.draw(st.integers(0, len(kernel) - 1))]
         coords = [c + scale * e for c, e in zip(coords, extra)]
-    coords = [Fraction(c) for c in coords]
+    return PairingVector(n, coords)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), cell=st.sampled_from(CELLS), data=st.data())
+def test_form_combination_is_the_dense_sum(n, cell, data):
+    space = BilinearSpace(*cell)
+    coords = drawn_coords(n, cell, data).coords
     den = lcm(*(c.denominator for c in coords))
     totals = [0] * space.dim ** (2 * n)
     for c, dense in zip(coords, dense_forms(n, *cell)):
@@ -478,13 +482,16 @@ def test_form_combination_drops_the_classes_whose_totals_vanish():
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 3), cell=st.sampled_from(CELLS), kind=st.sampled_from(("form", "moved", "random")),
-       data=st.data())
+@given(n=st.integers(1, 3), cell=st.sampled_from(CELLS),
+       kind=st.sampled_from(("form", "combination", "moved", "random")), data=st.data())
 def test_diagonal_row_is_the_contraction_with_every_diagonal(n, cell, kind, data):
     space = BilinearSpace(*cell)
     forms = all_form_tensors(n, space)
     t = forms[data.draw(st.integers(0, len(forms) - 1))]
-    if kind == "moved":
+    if kind == "combination":
+        # on the cell's table, with fractions and, from kernel vectors, zero classes
+        t = form_combination(drawn_coords(n, cell, data), space)
+    elif kind == "moved":
         # slots and a signed basis map move the support off the union
         g = data.draw(st.permutations(range(1, 2 * n + 1)))
         images = data.draw(st.permutations(range(space.dim)))
@@ -500,6 +507,31 @@ def test_diagonal_row_is_the_contraction_with_every_diagonal(n, cell, kind, data
         t = Tensor(n, space.dim, flats, tuple(entries[flat] for flat in flats))
     expected = tuple(contract(t, d) for d in all_diagonal_multivectors(n, space))
     assert diagonal_row(t, space) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), cell=st.sampled_from(CELLS), data=st.data())
+def test_a_table_tensor_equals_its_view_rebuilt(n, cell, data):
+    space = BilinearSpace(*cell)
+    t = form_combination(drawn_coords(n, cell, data), space)
+    rebuilt = Tensor(n, space.dim, t.flats, t.values)
+    assert t == rebuilt and rebuilt == t and not t != rebuilt and not rebuilt != t
+    assert hash(t) == hash(rebuilt)
+    assert t.is_zero() == rebuilt.is_zero() == (not t.flats)
+    assert repr(t) == repr(rebuilt)
+    # the same combination on the same table, and a different one
+    again = form_combination(drawn_coords(n, cell, data), space)
+    assert (again == t) == (again.flats == t.flats and again.values == t.values)
+    assert (again == t) == (Tensor(n, space.dim, again.flats, again.values) == rebuilt)
+
+
+def test_equal_class_values_on_different_tables_are_different_tensors():
+    assert Tensor(1, 2, (0,), (1,)) != Tensor(1, 2, (3,), (1,))
+    # one class of value 1 on each of these tables: e1e1 + e2e2 against e1e1 + e2e2 + e3e3
+    two, three = (all_form_tensors(1, BilinearSpace("orthogonal", k))[0] for k in (2, 3))
+    assert two.class_values == three.class_values and two != three
+    sym = all_form_tensors(2, BilinearSpace("symplectic", 1))
+    assert sym[0] != sym[1] and sym[0] == Tensor(2, 2, sym[0].flats, sym[0].values)
 
 
 RANK_CELLS = [("orthogonal", k) for k in range(1, 7)] + [("symplectic", k) for k in (1, 2, 3)]
