@@ -8,14 +8,14 @@ normalization, so no floating point and no rounding anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+
+from .rationals import over_common_denominator
 
 
 def _integerize(row):
     """Scale a row of Fractions/ints to coprime integers."""
-    fracs = [Fraction(x) for x in row]
-    denom = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * denom) for f in fracs]
+    ints = over_common_denominator(row)[0]
     g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]

@@ -18,7 +18,6 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import lcm
 from operator import mul
 
 from . import linalg
@@ -37,7 +36,7 @@ from .partitions import (
     even_row_partitions,
     hook_dimension,
 )
-from .rationals import as_rational, rational_argument
+from .rationals import as_rational, over_common_denominator, rational_argument
 
 ORTHOGONAL = "orthogonal"
 SYMPLECTIC = "symplectic"
@@ -154,7 +153,7 @@ class LoopMatrix(Frozen, derived=("powers",)):
     def apply(self, v: PairingVector) -> PairingVector:
         if v.n != self.n:
             raise InvalidInputError("vector size does not match matrix")
-        return _apply(self.n, _buckets(v), _integral(self.powers))
+        return _apply(self.n, _buckets(v), over_common_denominator(self.powers))
 
 
 class LoopEntries:
@@ -331,12 +330,6 @@ def _projectors(n: int) -> dict[Partition, tuple[Fraction, ...]]:
     return projectors
 
 
-def _integral(coeffs) -> tuple[tuple[int, ...], int]:
-    """Integer numerators over the common denominator of rationals."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
-
-
 @lru_cache(maxsize=None)
 def _selectors(n: int) -> tuple[bytes, ...]:
     # translation tables marking one type each, for every type but the last two
@@ -350,7 +343,7 @@ def _buckets(v: PairingVector) -> tuple[list[list[int]], int]:
     the one before it is what the row total leaves, so p(n) - 2 buckets
     per row are summed.
     """
-    ints, den = _integral(v.coords)
+    ints, den = over_common_denominator(v.coords)
     if v.n == 1:  # one pairing, one type
         return [ints], den
     total = sum(ints)
@@ -389,8 +382,9 @@ def _solve_data(n: int, flavor: str, k: int):
             inverse = [a + b / eigenvalue for a, b in zip(inverse, e)]
         else:
             outside = [a + b for a, b in zip(outside, e)]
-            blocks.append((lam, _integral(e)[0]))
-    return _integral(admissible), _integral(inverse), _integral(outside)[0], tuple(blocks)
+            blocks.append((lam, over_common_denominator(e)[0]))
+    admissible, inverse, outside = map(over_common_denominator, (admissible, inverse, outside))
+    return admissible, inverse, outside[0], tuple(blocks)
 
 
 def _vanishes(buckets, coeffs) -> bool:
@@ -402,14 +396,14 @@ def isotypic_component(v: PairingVector, lam: Partition) -> PairingVector:
     projectors = _projectors(v.n)
     if lam not in projectors:
         raise InvalidInputError(f"{lam} does not index a block for n={v.n}")
-    return _apply(v.n, _buckets(v), _integral(projectors[lam]))
+    return _apply(v.n, _buckets(v), over_common_denominator(projectors[lam]))
 
 
 def decompose_isotypic(v: PairingVector) -> dict[Partition, PairingVector]:
     """All block components of v, from one bucket pass; they sum back to v."""
     buckets = _buckets(v)
     return {
-        lam: _apply(v.n, buckets, _integral(e)) for lam, e in _projectors(v.n).items()
+        lam: _apply(v.n, buckets, over_common_denominator(e)) for lam, e in _projectors(v.n).items()
     }
 
 

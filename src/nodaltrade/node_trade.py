@@ -115,14 +115,14 @@ def contract_with_all_diagonals(omega: InvariantTensor) -> PairingVector:
 def recover(contractions, n: int, space: BilinearSpace, sign: int = 1) -> InvariantTensor:
     """The unique invariant tensor whose diagonal contractions match.
 
-    `sign` lets the caller fix the orientation convention relating nodal
-    data to diagonal contractions (+1 by default); the data vector is
+    `sign`, the int +1 or -1, fixes the orientation convention relating
+    nodal data to diagonal contractions (+1 by default); the data vector is
     multiplied by it before solving.  Data with a nonzero component in an
     inadmissible block cannot come from an invariant tensor and is
     rejected.
     """
-    if sign not in (1, -1) or isinstance(sign, float):
-        raise InvalidInputError(f"sign must be +1 or -1, got {sign}")
+    if sign.__class__ is not int or sign not in (1, -1):
+        raise InvalidInputError(f"sign must be +1 or -1, got {sign!r}")
     check_brute_force_budget(n, space.dim)
     if not isinstance(contractions, PairingVector):
         contractions = PairingVector(n, contractions)

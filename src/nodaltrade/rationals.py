@@ -1,10 +1,11 @@
-"""Parsing and formatting of exact rationals as "p/q" strings.
+"""Exact rationals: parsing and formatting as "p/q" strings, and one common denominator.
 
 All machine-readable output renders numbers this way so that no consumer
 ever sees a float.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import InvalidInputError
 
@@ -34,6 +35,16 @@ def rational_argument(name: str, value) -> Fraction:
         return as_rational(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"{name} must be a rational: {exc}") from exc
+
+
+def over_common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators of a sequence of ints and Fractions over their least
+    common denominator, and that denominator: value i is numerators[i] /
+    denominator, and gcd(denominator, *numerators) is 1; ([], 1) for no values."""
+    den = lcm(*{v.denominator for v in values})
+    if den == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def format_rational(value) -> str:

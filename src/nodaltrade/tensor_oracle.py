@@ -15,11 +15,12 @@ routes independent.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, islice, product, repeat
-from math import lcm, prod
-from operator import attrgetter, lt, mul
+from itertools import compress, islice, product
+from math import prod
+from operator import lt, mul
 
 from . import linalg
 from .errors import InternalConsistencyError, InvalidInputError, ResourceLimitError
@@ -27,6 +28,7 @@ from .frozen import Frozen
 from .loop_matrix import ORTHOGONAL, PairingVector, admissible_partitions, flavor_dimension
 from .pairings import Pairing, check_n, check_permutation, crossing_number, enumerate_pairings
 from .partitions import hook_dimension
+from .rationals import over_common_denominator
 
 BRUTE_FORCE_MAX_N = 3
 BRUTE_FORCE_MAX_DIM = 6
@@ -146,8 +148,8 @@ class Tensor(Frozen, fields=("n", "dim", "flats", "values")):
     @property
     def coeffs(self) -> tuple:
         """Every coefficient in flat order: the dense view, built on each access."""
-        coefficient = SupportMap(self.support)
-        return tuple(coefficient[flat] for flat in range(self.dim ** self.order))
+        coefficient = dict(self.support)
+        return tuple(coefficient.get(flat, 0) for flat in range(self.dim ** self.order))
 
     def coefficient(self, index) -> Fraction:
         if len(index) != self.order:
@@ -156,7 +158,7 @@ class Tensor(Frozen, fields=("n", "dim", "flats", "values")):
             if not 0 <= a < self.dim:
                 raise InvalidInputError(f"index entry {a} out of range 0..{self.dim - 1}")
         flat = sum(map(mul, index, slot_weights(self.dim, self.order)))
-        return Fraction(SupportMap(self.support)[flat])
+        return Fraction(dict(self.support).get(flat, 0))
 
     def is_zero(self) -> bool:
         return not any(self.class_values)
@@ -248,38 +250,14 @@ def diagonal_multivector(p: Pairing, space: BilinearSpace) -> Tensor:
     return Tensor(p.n, space.dim, flats, diags)
 
 
-class SupportMap(dict):
-    """flat -> value over a support, reading 0 at every other flat."""
-
-    def __missing__(self, flat):
-        return 0
-
-
-def contract_support(coeffs, flats, values) -> Fraction:
-    """Sum of coeffs[flat] * value over the flats and values of a support.
-
-    `coeffs` is a `SupportMap`, built once per tensor, or a sequence indexed
-    by flat.  Reads only the listed entries and adds integer numerators over
-    their common denominator, so the only Fraction built is the result.
-    """
-    read = list(map(coeffs.__getitem__, flats))
-    den = lcm(*{c.denominator * v.denominator for c, v in zip(read, values)})
-    return Fraction(
-        sum(
-            c.numerator * v.numerator * (den // (c.denominator * v.denominator))
-            for c, v in zip(read, values)
-        ),
-        den,
-    )
-
-
 def contract(form: Tensor, vec: Tensor) -> Fraction:
     """Full slot-by-slot pairing of a covariant and a contravariant tensor."""
     if form.n != vec.n or form.dim != vec.dim:
         raise InvalidInputError(
             f"shape mismatch: ({form.n}, {form.dim}) vs ({vec.n}, {vec.dim})"
         )
-    return contract_support(SupportMap(zip(form.flats, form.values)), vec.flats, vec.values)
+    at = dict(form.support)
+    return Fraction(sum(at.get(flat, 0) * value for flat, value in vec.support))
 
 
 def permute_slots(t: Tensor, g, basis=None) -> Tensor:
@@ -310,10 +288,10 @@ def permute_slots(t: Tensor, g, basis=None) -> Tensor:
 @lru_cache(maxsize=None)
 def _pairing_tensors(n: int, space: BilinearSpace):
     """The form tensors and diagonal multivectors of all n-pairings in
-    enumeration order, on the cell's class table; the union of their flats
-    (the support of a generic combination); the table, each form tensor and
-    diagonal as the classes where it is nonzero and its values there (sparse
-    rows), and the size and the flats of each class.
+    enumeration order; their class table (the union of their flats, which
+    is the support of a generic combination, and the class of each flat);
+    and their sparse rows: the classes where each is nonzero and its values
+    there, times the class size for a diagonal (its contraction weights).
 
     A flat's column is its (pairing index, form value, diagonal value)
     triples, laid end to end, over the pairings nonzero there; flats with
@@ -326,9 +304,7 @@ def _pairing_tensors(n: int, space: BilinearSpace):
     union = tuple(sorted(columns))
     ids = {}
     class_of = tuple(ids.setdefault(tuple(columns[flat]), len(ids)) for flat in union)
-    class_flats = [[] for _ in ids]
-    for flat, c in zip(union, class_of):
-        class_flats[c].append(flat)
+    sizes = tuple(Counter(class_of).values())  # keeps first-occurrence order: the class order
     form_rows, diag_rows = ([[0] * len(ids) for _ in pairings] for _ in "fd")
     for c, column in enumerate(ids):
         for i, f, d in zip(*[iter(column)] * 3):
@@ -340,10 +316,9 @@ def _pairing_tensors(n: int, space: BilinearSpace):
     )
     form_sparse, diag_sparse = (
         tuple((tuple(c for c, v in enumerate(row) if v), tuple(filter(None, row))) for row in rows)
-        for rows in (form_rows, diag_rows)
+        for rows in (form_rows, [list(map(mul, row, sizes)) for row in diag_rows])
     )
-    sizes = tuple(map(len, class_flats))
-    return forms, diags, union, (table, form_sparse, diag_sparse, sizes, tuple(map(tuple, class_flats)))
+    return forms, diags, table, form_sparse, diag_sparse
 
 
 def all_form_tensors(n: int, space: BilinearSpace):
@@ -361,18 +336,17 @@ def all_diagonal_multivectors(n: int, space: BilinearSpace):
 def form_combination(v: PairingVector, space: BilinearSpace) -> Tensor:
     """sum c_P * T_P over the form tensors, c the coordinates of v.
 
-    Adds integers over the coordinates' common denominator, one total per
-    class, each pairing to the classes where its form tensor is nonzero, and
-    keeps the totals on the cell's class table; a class whose total is 0 is
-    absent from the views.  One value is stored per distinct total (an int
-    if the denominator is 1).
+    Adds the coordinates' integer numerators, one total per class, each
+    pairing to the classes where its form tensor is nonzero, and keeps the
+    totals over the common denominator on the cell's class table; a class
+    whose total is 0 is absent from the views.  One value is stored per
+    distinct total (an int if the denominator is 1).
     """
-    _, _, _, (table, form_sparse, _, sizes, _) = _pairing_tensors(v.n, space)
-    den = lcm(*(c.denominator for c in v.coords))
-    totals = [0] * len(sizes)
-    for c, (classes, values) in zip(v.coords, form_sparse):
+    forms, _, table, form_sparse, _ = _pairing_tensors(v.n, space)
+    numerators, den = over_common_denominator(v.coords)
+    totals = [0] * len(forms[0].class_values)
+    for c, (classes, values) in zip(numerators, form_sparse):
         if c:
-            c = c.numerator * (den // c.denominator)
             for i, value in zip(classes, values):
                 totals[i] += c * value
     if den > 1:
@@ -384,26 +358,19 @@ def form_combination(v: PairingVector, space: BilinearSpace) -> Tensor:
 def diagonal_row(t: Tensor, space: BilinearSpace) -> tuple:
     """Contractions of t against the diagonal multivector of every t.n-pairing.
 
-    D_Q is constant on each class and 0 off the union, so <t, D_Q> is the sum
-    over the classes where D_Q is nonzero of D_Q there times t's integer
-    numerators summed over the class, on their common denominator.  On the
-    cell's table that sum is the class size times t's class value; any other
-    tensor is summed class by class from its view.
+    D_Q is constant on each class and 0 off the union, so for t on the
+    cell's table (a pairing tensor or a combination) <t, D_Q> sums D_Q times
+    the class size times t's numerator over the classes where D_Q is
+    nonzero.  Any other tensor goes through `contract` against each D_Q.
     """
     if t.dim != space.dim:
         raise InvalidInputError(f"tensor has dim {t.dim}, the space has dim {space.dim}")
-    _, _, _, (table, _, diag_sparse, sizes, class_flats) = _pairing_tensors(t.n, space)
-    on_table = t.table is table
-    values = t.class_values if on_table else t.values
-    den = lcm(*set(map(attrgetter("denominator"), values)))
-    numerators = values if den == 1 else [v.numerator * (den // v.denominator) for v in values]
-    if on_table:
-        sums = list(map(mul, sizes, numerators))
-    else:
-        at = dict(zip(t.flats, numerators))
-        sums = [sum(map(at.get, flats, repeat(0))) for flats in class_flats]
+    _, diags, table, _, diag_sparse = _pairing_tensors(t.n, space)
+    if t.table is not table:
+        return tuple(contract(t, d) for d in diags)
+    numerators, den = over_common_denominator(t.class_values)
     return tuple(
-        Fraction(sum(map(mul, weights, map(sums.__getitem__, classes))), den)
+        Fraction(sum(map(mul, weights, map(numerators.__getitem__, classes))), den)
         for classes, weights in diag_sparse
     )
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -64,8 +65,9 @@ def test_recover_scales_only_for_a_negative_sign(monkeypatch):
         patch.setattr(PairingVector, "scale", lambda self, c: pytest.fail("scaled by +1"))
         assert recover(data, 1, space).coordinates.coords == (-1,)
     assert recover(data, 1, space, sign=-1).coordinates.coords == (1,)
-    for sign in (2, 0, 1.0, -1.0):
-        with pytest.raises(InvalidInputError, match=f"^sign must be \\+1 or -1, got {sign}$"):
+    for sign in (2, 0, 1.0, -1.0, True, False, Fraction(-1)):
+        message = f"sign must be +1 or -1, got {sign!r}"  # the repr names a bool or a Fraction
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             recover(data, 1, space, sign=sign)
 
 

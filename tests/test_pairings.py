@@ -84,39 +84,37 @@ def test_enumeration_bounds():
         enumerate_pairings(7)
 
 
-@pytest.mark.parametrize("n", [2.0, True], ids=["float", "bool"])
-def test_enumeration_refuses_a_non_int_n(n):
-    # the enumeration is cached by n, and 2.0 and True hash like 2 and 1
-    enumerate_pairings(1), enumerate_pairings(2)
-    with pytest.raises(InvalidInputError, match=f"n must be an integer, got {n!r}"):
-        enumerate_pairings(n)
-
-
 SPACE = BilinearSpace("orthogonal", 2)
-VECTOR = PairingVector(2, (1, 0, 0))
+# zero coordinates and a unit vector at the two warmed sizes; a refused n reads
+# the entry of the n it hashes like, or none
+ZEROS = {1: (0,), 2: (0, 0, 0)}
+VECTORS = {n: PairingVector(n, (1, *zeros[1:])) for n, zeros in ZEROS.items()}
 
 # every public entry point that takes a pairing size n, and kontsevich_nd's degree
 GATED = {
     "enumerate_pairings": enumerate_pairings,
     "double_factorial_odd": double_factorial_odd,
-    "PairingVector": lambda n: PairingVector(n, (0, 0, 0)),
+    "PairingVector": lambda n: PairingVector(n, ZEROS.get(n, ())),
     "PairingVector.zero": PairingVector.zero,
     "build_loop_matrix": lambda n: build_loop_matrix(n, 2),
     "eigenvalues_at": lambda n: eigenvalues_at(n, 7),
     "find_generic_specialization": find_generic_specialization,
     "eigenspace_decomposition": eigenspace_decomposition,
     "admissible_partitions": lambda n: admissible_partitions(n, "orthogonal", 2),
-    "restricted_inverse_apply": lambda n: restricted_inverse_apply(n, "orthogonal", 2, VECTOR),
+    "restricted_inverse_apply":
+        lambda n: restricted_inverse_apply(n, "orthogonal", 2, VECTORS.get(n, VECTORS[2])),
     "Tensor": lambda n: Tensor(n, 2, (), ()),
     "check_brute_force_budget": lambda n: check_brute_force_budget(n, 2),
     "all_form_tensors": lambda n: all_form_tensors(n, SPACE),
     "all_diagonal_multivectors": lambda n: all_diagonal_multivectors(n, SPACE),
     "diagonal_insertion_matrix": lambda n: diagonal_insertion_matrix(n, SPACE),
     "invariant_map_rank": lambda n: invariant_map_rank(n, SPACE),
-    "InvariantTensor.from_coordinates": lambda n: InvariantTensor.from_coordinates(n, SPACE, (0, 0, 0)),
-    "InvariantTensor.from_coordinates-vector": lambda n: InvariantTensor.from_coordinates(n, SPACE, VECTOR),
+    "InvariantTensor.from_coordinates":
+        lambda n: InvariantTensor.from_coordinates(n, SPACE, ZEROS.get(n, ())),
+    "InvariantTensor.from_coordinates-vector":
+        lambda n: InvariantTensor.from_coordinates(n, SPACE, VECTORS.get(n, VECTORS[2])),
     "InvariantTensor.zero": lambda n: InvariantTensor.zero(n, SPACE),
-    "recover": lambda n: recover((0, 0, 0), n, SPACE),
+    "recover": lambda n: recover(ZEROS.get(n, ()), n, SPACE),
     "kontsevich_nd": kontsevich_nd,
 }
 
@@ -130,7 +128,7 @@ CACHED = [
 
 
 def _refuses_bad_values(call, argument):
-    for value in (2.0, True, 0, -1):
+    for value in (1.0, 2.0, True, 0, -1):
         if value.__class__ is int:
             message = f"{argument} must be >= 1, got {value}"
         else:
@@ -143,14 +141,16 @@ def _refuses_bad_values(call, argument):
 
 @pytest.mark.parametrize("name", list(GATED))
 def test_every_entry_point_refuses_a_bad_n_before_any_cache(name):
-    # caches keyed by n take 2.0 and True for 2 and 1, so each entry point
-    # must refuse them before reading any cache: cold, then with n=2 cached
+    # caches keyed by n take 1.0, 2.0 and True for 1, 2 and 1, so each entry
+    # point must refuse them before reading any cache: cold, then with n=1 and
+    # n=2 cached
     argument = "degree" if name == "kontsevich_nd" else "n"
     for f in CACHED:
         f.cache_clear()
     _refuses_bad_values(GATED[name], argument)
-    for call in GATED.values():
-        call(2)
+    for n in (1, 2):
+        for call in GATED.values():
+            call(n)
     _refuses_bad_values(GATED[name], argument)
 
 

@@ -1,8 +1,11 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from nodaltrade.rationals import as_rational, format_rational
+from nodaltrade.rationals import as_rational, format_rational, over_common_denominator
 
 
 class Tagged(Fraction):
@@ -31,3 +34,21 @@ def test_other_values_become_a_new_fraction(value, text):
 def test_floats_are_still_refused():
     with pytest.raises(TypeError, match="refusing the float 0.5"):
         as_rational(0.5)
+
+
+def test_over_common_denominator():
+    mixed = (Fraction(1, 2), Fraction(0), Fraction(-2, 3), 5)
+    assert over_common_denominator(mixed) == ([3, 0, -4, 30], 6)
+    assert over_common_denominator((Fraction(1, 3), 1)) == ([1, 3], 3)
+    numerators, den = over_common_denominator((4, Fraction(3), -1))
+    assert (numerators, den) == ([4, 3, -1], 1)
+    assert {type(a) for a in numerators} == {int}
+    assert over_common_denominator(()) == ([], 1)
+
+
+@given(st.lists(st.one_of(st.integers(-50, 50), st.fractions(max_denominator=30)), max_size=12))
+def test_over_common_denominator_is_exact_and_in_lowest_terms(values):
+    numerators, den = over_common_denominator(values)
+    assert den > 0 and gcd(den, *numerators) == 1
+    assert {type(a) for a in numerators} <= {int}
+    assert [Fraction(a, den) for a in numerators] == values
