@@ -84,6 +84,14 @@ def test_enumeration_bounds():
         enumerate_pairings(7)
 
 
+@pytest.mark.parametrize("n", [2.0, True], ids=["float", "bool"])
+def test_enumeration_refuses_a_non_int_n(n):
+    # the enumeration is cached by n, and 2.0 and True hash like 2 and 1
+    enumerate_pairings(1), enumerate_pairings(2)
+    with pytest.raises(InvalidInputError, match=f"n must be an integer, got {n!r}"):
+        enumerate_pairings(n)
+
+
 SPACE = BilinearSpace("orthogonal", 2)
 # zero coordinates and a unit vector at the two warmed sizes; a refused n reads
 # the entry of the n it hashes like, or none
