@@ -3,7 +3,8 @@
 Submodules:
   errors         the exception types shared across the package
   frozen         the slotted immutable base of the value classes
-  rationals      exact rationals: parsing, formatting, one common denominator
+  rationals      the integer and rational argument gates, parsing, formatting,
+                 one common denominator
   partitions     partitions, hook dimensions, content products
   pairings       n-pairings, crossings, loop numbers, group action
   linalg         exact rational elimination, ranks, kernels

@@ -36,6 +36,7 @@ from .plane_counts import (
     lookup_with_provenance,
     pencil_reducible_count,
 )
+from .rationals import integer_argument, rational_argument
 from .stable_graphs import (
     DegenerationScenario,
     Leg,
@@ -64,6 +65,7 @@ _FIBER = (0, 1)
 
 def parent_graph(num_points: int = 8) -> StableGraph:
     """One genus-0 vertex of degree 3 with a loop and labeled point legs."""
+    integer_argument("num_points", num_points, 0)
     return StableGraph(
         vertices=(Vertex(0, _CUBIC),),
         edges=((0, 0),),
@@ -401,6 +403,7 @@ def evaluate_plane_invariant(term: InsertionList, table: OracleTable | None = No
 
 def compute_lhs_with_breakdown(num_points: int = 8, table: OracleTable | None = None):
     """Split the imposed node directly on the plane and evaluate each term."""
+    integer_argument("num_points", num_points, 0)
     ring = load_model("p2")
     parent = InsertionList(
         genus=1,
@@ -507,7 +510,7 @@ def elliptic_demo(u1, v1, u2, v2) -> dict:
     with which that invariant enters the split of a nodal invariant,
     recovered both by direct expansion and through the trade solver.
     """
-    u1, v1, u2, v2 = (Fraction(x) for x in (u1, v1, u2, v2))
+    u1, v1, u2, v2 = map(rational_argument, ("u1", "v1", "u2", "v2"), (u1, v1, u2, v2))
     ring = load_model("elliptic")
     a = ring.class_coords("a")
     b = ring.class_coords("b")

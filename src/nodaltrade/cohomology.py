@@ -17,7 +17,7 @@ from types import MappingProxyType
 from . import linalg, read_bundled
 from .errors import InvalidInputError, InvalidModelError, UnsupportedCaseError
 from .frozen import Frozen
-from .rationals import as_rational, format_rational, parse_rational
+from .rationals import as_rational, format_rational, integer_argument, parse_rational
 
 
 def _join_terms(terms) -> str:
@@ -62,6 +62,13 @@ class CohRing(Frozen, derived=("duals",)):
             raise InvalidModelError(
                 f"model {name}: pairing must be {size} x {size}, one entry per basis label"
             )
+        degrees = tuple(integer_argument("degree", d, 0) for d in degrees)
+        try:
+            pairing = tuple(tuple(map(as_rational, row)) for row in pairing)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InvalidModelError(
+                f"model {name}: pairing entries must be rationals: {exc}"
+            ) from exc
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "degrees", degrees)
@@ -212,10 +219,7 @@ def load_model(name: str) -> CohRing:
 
 def ring_from_json(name: str, raw: dict) -> CohRing:
     labels = tuple(b["label"] for b in raw["basis"])
-    degrees = tuple(int(b["degree"]) for b in raw["basis"])
-    pairing = tuple(
-        tuple(parse_rational(x) for x in row) for row in raw["pairing"]
-    )
+    degrees = tuple(b["degree"] for b in raw["basis"])
     curve_labels = None
     imat = None
     dlat = None
@@ -232,7 +236,7 @@ def ring_from_json(name: str, raw: dict) -> CohRing:
         name=name,
         labels=labels,
         degrees=degrees,
-        pairing=pairing,
+        pairing=raw["pairing"],
         curve_labels=curve_labels,
         intersection_matrix=imat,
         divisor_lattice=dlat,

@@ -36,7 +36,7 @@ from .partitions import (
     even_row_partitions,
     hook_dimension,
 )
-from .rationals import as_rational, over_common_denominator, rational_argument
+from .rationals import as_rational, integer_argument, over_common_denominator, rational_argument
 
 ORTHOGONAL = "orthogonal"
 SYMPLECTIC = "symplectic"
@@ -57,10 +57,7 @@ def flavor_dimension(flavor: str, k: int) -> int:
     basis vectors or hyperbolic planes, so it must be an int >= 1.
     """
     check_flavor(flavor)
-    if k.__class__ is not int:
-        raise InvalidInputError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise InvalidInputError(f"k must be >= 1, got {k}")
+    integer_argument("k", k, 1)
     return k if flavor == ORTHOGONAL else 2 * k
 
 
@@ -186,6 +183,7 @@ def build_loop_matrix(n: int, x) -> LoopMatrix:
 def eigenvalues_at(n: int, x0) -> dict[Partition, Fraction]:
     """Content-product eigenvalues of M(n, x0), one per even-row block."""
     check_n(n)
+    x0 = rational_argument("x0", x0)
     return {lam: content_product(lam, x0) for lam in even_row_partitions(2 * n)}
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from .errors import InconsistentDataError, InvalidInputError, SubspaceError
 from .frozen import Frozen
 from .loop_matrix import PairingVector, restricted_inverse_apply
+from .rationals import integer_argument
 from .tensor_oracle import (
     BilinearSpace,
     Tensor,
@@ -29,11 +30,7 @@ def primitive_insertion_pairs(a: int) -> int:
     With an odd number of primitive insertions the invariant is zero and
     there is nothing to solve for.
     """
-    if a.__class__ is not int:
-        raise InvalidInputError(f"insertion count must be an integer, got {a!r}")
-    if a < 0:
-        raise InvalidInputError(f"insertion count must be >= 0, got {a}")
-    if a % 2:
+    if integer_argument("insertion count", a, 0) % 2:
         raise InvalidInputError(
             f"odd number of primitive insertions ({a}): the invariant vanishes "
             "and the solver has nothing to recover"

@@ -14,6 +14,7 @@ from math import prod
 
 from .errors import InvalidInputError, ResourceLimitError
 from .frozen import Frozen
+from .rationals import integer_argument
 
 DEFAULT_MAX_N = 5
 _ENV_MAX_N = "NODAL_TRADE_MAX_N"
@@ -31,7 +32,7 @@ def max_pairing_size() -> int:
     try:
         value = int(raw)
     except ValueError as exc:
-        raise InvalidInputError(f"{_ENV_MAX_N} must be an integer, got {raw!r}") from exc
+        raise InvalidInputError(f"{_ENV_MAX_N}={raw!r} is not an integer") from exc
     if value > DEFAULT_MAX_N and value not in _warned_ceilings:
         import sys
 
@@ -44,12 +45,9 @@ def max_pairing_size() -> int:
     return value
 
 
-def check_n(n) -> None:
+def check_n(n) -> int:
     """The one check of a pairing size: an int >= 1, so never a float or a bool."""
-    if n.__class__ is not int:
-        raise InvalidInputError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
+    return integer_argument("n", n, 1)
 
 
 def double_factorial_odd(n: int) -> int:
@@ -66,7 +64,7 @@ class Pairing(Frozen):
     def __init__(self, pairs):
         canon = tuple(sorted((min(a, b), max(a, b)) for a, b in pairs))
         n = len(canon)
-        seen = sorted(x for p in canon for x in p)
+        seen = sorted(integer_argument("pairing entry", x) for p in canon for x in p)
         if seen != list(range(1, 2 * n + 1)):
             raise InvalidInputError(
                 f"pairs must cover 1..{2 * n} exactly once, got {pairs}"
@@ -219,7 +217,7 @@ def permutation_sign(g: tuple[int, ...]) -> int:
 
 def check_permutation(g, size: int) -> tuple[int, ...]:
     """Validate that g is a bijection on {1..size}; return it as a tuple."""
-    g = tuple(int(x) for x in g)
+    g = tuple(integer_argument("permutation entry", x) for x in g)
     if sorted(g) != list(range(1, size + 1)):
         raise InvalidInputError(f"not a bijection on 1..{size}: {g}")
     return g

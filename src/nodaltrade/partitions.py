@@ -12,7 +12,7 @@ from math import factorial
 
 from .errors import InvalidInputError
 from .frozen import Frozen
-from .rationals import rational_argument
+from .rationals import integer_argument, rational_argument
 
 
 class Partition(Frozen):
@@ -24,12 +24,9 @@ class Partition(Frozen):
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        parts = tuple(int(p) for p in parts)
-        for i, p in enumerate(parts):
-            if p < 1:
-                raise InvalidInputError(f"partition parts must be positive, got {p}")
-            if i > 0 and parts[i - 1] < p:
-                raise InvalidInputError(f"parts must be weakly decreasing: {parts}")
+        parts = tuple(integer_argument("partition part", p, 1) for p in parts)
+        if any(a < b for a, b in zip(parts, parts[1:])):
+            raise InvalidInputError(f"parts must be weakly decreasing: {parts}")
         object.__setattr__(self, "parts", parts)
 
     @property
@@ -72,8 +69,7 @@ def _partitions_of(m: int, max_part: int):
 
 def all_partitions(m: int) -> list[Partition]:
     """Partitions of m in reverse-lexicographic order."""
-    if m < 0:
-        raise InvalidInputError(f"cannot partition a negative integer: {m}")
+    integer_argument("m", m, 0)
     return [Partition(p) for p in _partitions_of(m, m if m else 1)]
 
 
@@ -84,8 +80,8 @@ def even_row_partitions(m: int) -> list[Partition]:
     m = 2n.  Doubling is order-preserving, so the list is obtained by
     doubling the partitions of m/2.
     """
-    if m <= 0 or m % 2 != 0:
-        raise InvalidInputError(f"need a positive even integer, got {m}")
+    if integer_argument("m", m, 2) % 2:
+        raise InvalidInputError(f"m must be even, got {m}")
     return [Partition(tuple(2 * p for p in lam.parts)) for lam in all_partitions(m // 2)]
 
 

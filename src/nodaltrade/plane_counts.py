@@ -13,9 +13,9 @@ from functools import lru_cache
 from math import comb
 
 from . import read_bundled
-from .errors import InvalidInputError, InvalidModelError, MissingDataError, ResourceLimitError
+from .errors import InvalidModelError, MissingDataError, ResourceLimitError
 from .frozen import Frozen
-from .rationals import parse_rational
+from .rationals import integer_argument, parse_rational, rational_argument
 
 # The recursion nests d calls deep, so the ceiling stays well inside the
 # interpreter's recursion limit; d = 100 takes tens of milliseconds cold.
@@ -34,10 +34,7 @@ def kontsevich_nd(d: int) -> int:
     Exact with big integers, for an int 1 <= d <= KONTSEVICH_MAX_D; past
     the ceiling it raises ResourceLimitError.
     """
-    if d.__class__ is not int:
-        raise InvalidInputError(f"degree must be an integer, got {d!r}")
-    if d < 1:
-        raise InvalidInputError(f"degree must be >= 1, got {d}")
+    integer_argument("degree", d, 1)
     if d > KONTSEVICH_MAX_D:
         raise ResourceLimitError(
             f"degree {d} exceeds the plane-count ceiling d <= {KONTSEVICH_MAX_D}"
@@ -64,11 +61,8 @@ def pencil_reducible_count(chi_surface: int, num_basepoints: int) -> int:
     characteristic is (2-k)*2 + k*3 = k+4 when k fibers break into two
     components, so k = chi(surface) + #basepoints - 4.
     """
-    for name, count in (("chi", chi_surface), ("base point count", num_basepoints)):
-        if count.__class__ is not int:
-            raise InvalidInputError(f"{name} must be an integer, got {count!r}")
-    if num_basepoints < 0:
-        raise InvalidInputError("base point count must be >= 0")
+    integer_argument("chi", chi_surface)
+    integer_argument("base point count", num_basepoints, 0)
     k = chi_surface + num_basepoints - 4
     if k < 0:
         raise InvalidModelError(
@@ -88,7 +82,7 @@ class OracleTable(Frozen):
 
     def with_entry(self, key: str, value, provenance: str) -> "OracleTable":
         new = dict(self.entries)
-        new[key] = (Fraction(value), provenance)
+        new[key] = (rational_argument("value", value), provenance)
         return OracleTable(new)
 
     def keys(self):

@@ -1,7 +1,9 @@
-"""Exact rationals: parsing and formatting as "p/q" strings, and one common denominator.
+"""Exact rationals: the argument gates, parsing and formatting as "p/q"
+strings, and one common denominator.
 
 All machine-readable output renders numbers this way so that no consumer
-ever sees a float.
+ever sees a float.  `integer_argument` alone decides what an integer
+argument is, and `rational_argument` what a rational argument is.
 """
 
 from fractions import Fraction
@@ -35,6 +37,16 @@ def rational_argument(name: str, value) -> Fraction:
         return as_rational(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"{name} must be a rational: {exc}") from exc
+
+
+def integer_argument(name: str, value, minimum=None) -> int:
+    """An int argument, never a bool or a float, at least `minimum` if one is
+    given; a refusal is an input error naming the argument."""
+    if value.__class__ is not int:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InvalidInputError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def over_common_denominator(values) -> tuple[list[int], int]:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .errors import InvalidInputError, ResourceLimitError
 from .cohomology import kunneth_diagonal, kunneth_reorder_sign
 from .frozen import Frozen
+from .rationals import integer_argument
 
 INTERIOR = "interior"
 RELATIVE = "relative"
@@ -27,8 +28,9 @@ class Vertex(Frozen):
     __slots__ = ("genus", "cls")
 
     def __init__(self, genus, cls):
-        if genus < 0:
-            raise InvalidInputError(f"genus must be >= 0, got {genus}")
+        integer_argument("genus", genus, 0)
+        for c in cls:
+            integer_argument("class entry", c)
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "cls", cls)
 
@@ -39,6 +41,9 @@ class Leg(Frozen):
     def __init__(self, vertex, marking, kind=INTERIOR, multiplicity=None):
         if kind not in (INTERIOR, RELATIVE):
             raise InvalidInputError(f"unknown leg kind {kind!r}")
+        integer_argument("leg vertex", vertex)
+        if multiplicity is not None:
+            integer_argument("multiplicity", multiplicity)
         if kind == RELATIVE and (multiplicity is None or multiplicity < 1):
             raise InvalidInputError("relative legs need a positive multiplicity")
         object.__setattr__(self, "vertex", vertex)
@@ -53,6 +58,8 @@ class StableGraph(Frozen):
     def __init__(self, vertices, edges, legs):
         nv = len(vertices)
         for a, b in edges:
+            integer_argument("edge end", a)
+            integer_argument("edge end", b)
             if not (0 <= a < nv and 0 <= b < nv):
                 raise InvalidInputError(f"edge ({a},{b}) out of vertex range")
         for leg in legs:
@@ -95,36 +102,15 @@ class StableGraph(Frozen):
         }
 
 
-def _json_int(value, what: str) -> int:
-    if type(value) is not int:
-        raise InvalidInputError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def graph_from_json(raw: dict) -> StableGraph:
     """Build a graph from its JSON form; any malformed entry raises
-    InvalidInputError.  Numbers must be integers, and markings integers
-    or strings, unique per leg kind."""
+    InvalidInputError.  The constructors check the numbers; the markings
+    must be integers or strings, unique per leg kind."""
     try:
-        vertices = tuple(
-            Vertex(
-                _json_int(v["genus"], "genus"),
-                tuple(_json_int(c, "class entry") for c in v["class"]),
-            )
-            for v in raw["vertices"]
-        )
-        edges = tuple(
-            (_json_int(a, "edge end"), _json_int(b, "edge end")) for a, b in raw.get("edges", [])
-        )
+        vertices = tuple(Vertex(v["genus"], tuple(v["class"])) for v in raw["vertices"])
+        edges = tuple((a, b) for a, b in raw.get("edges", []))
         legs = tuple(
-            Leg(
-                vertex=_json_int(l["vertex"], "leg vertex"),
-                marking=l["marking"],
-                kind=l.get("kind", INTERIOR),
-                multiplicity=(
-                    _json_int(l["multiplicity"], "multiplicity") if "multiplicity" in l else None
-                ),
-            )
+            Leg(l["vertex"], l["marking"], l.get("kind", INTERIOR), l.get("multiplicity"))
             for l in raw.get("legs", [])
         )
         for i, l in enumerate(legs):

@@ -238,18 +238,6 @@ def pairing_supports(p: Pairing, space: BilinearSpace):
     return flats, forms, forms if diags == forms else diags
 
 
-def form_tensor(p: Pairing, space: BilinearSpace) -> Tensor:
-    """The covariant tensor: product of the form over the pairs of p."""
-    flats, forms, _ = pairing_supports(p, space)
-    return Tensor(p.n, space.dim, flats, forms)
-
-
-def diagonal_multivector(p: Pairing, space: BilinearSpace) -> Tensor:
-    """The contravariant tensor: product of inverse-form bivectors."""
-    flats, _, diags = pairing_supports(p, space)
-    return Tensor(p.n, space.dim, flats, diags)
-
-
 def contract(form: Tensor, vec: Tensor) -> Fraction:
     """Full slot-by-slot pairing of a covariant and a contravariant tensor."""
     if form.n != vec.n or form.dim != vec.dim:

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError
@@ -29,9 +30,14 @@ from nodaltrade.linalg import mat_vec, rank
 
 
 def test_bundled_models_load_and_validate():
+    models = nodaltrade.read_bundled("models.json")
     for name in ("p2", "f1", "p1", "elliptic", "point"):
         ring = load_model(name)
         assert ring.size >= 1
+        # the pairing entries become Fractions of the same value, the degrees stay ints
+        assert ring.pairing == tuple(tuple(map(Fraction, row)) for row in models[name]["pairing"])
+        assert {e.__class__ for row in ring.pairing for e in row} == {Fraction}
+        assert ring.degrees == tuple(b["degree"] for b in models[name]["basis"])
     with pytest.raises(InvalidInputError):
         load_model("p3")
 
@@ -350,3 +356,15 @@ def test_misshapen_pairing_names_model_and_shape(pairing):
     # a short row used to end in an IndexError, a wide one in "singular"
     with pytest.raises(InvalidModelError, match=r"model warped: pairing must be 2 x 2"):
         CohRing(name="warped", labels=("1", "x"), degrees=(0, 0), pairing=pairing)
+
+
+@pytest.mark.parametrize(
+    "entry, reason",
+    [(1.0, "refusing the float 1.0"), ("one", "Invalid literal for Fraction: 'one'")],
+    ids=["float", "unparseable-string"],
+)
+def test_pairing_entries_must_be_rationals(entry, reason):
+    # a float entry used to end in a bare AttributeError
+    message = f"model skewed: pairing entries must be rationals: {reason}"
+    with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
+        CohRing(name="skewed", labels=("1", "x"), degrees=(0, 2), pairing=((0, entry), (1, 0)))

@@ -114,18 +114,18 @@ def test_loop_matrix_keeps_one_power_per_type():
 
 
 @pytest.mark.parametrize(
-    "call, value",
+    "call, argument, value",
     [
-        (lambda: build_loop_matrix(2, 0.1), "0.1"),
-        (lambda: eigenspace_decomposition(2, 7.5), "7.5"),
-        (lambda: eigenvalues_at(2, 0.5), "0.5"),
-        (lambda: content_product(Partition((4, 2)), 0.5), "0.5"),
+        (lambda: build_loop_matrix(2, 0.1), "x", "0.1"),
+        (lambda: eigenspace_decomposition(2, 7.5), "x0", "7.5"),
+        (lambda: eigenvalues_at(2, 0.5), "x0", "0.5"),
+        (lambda: content_product(Partition((4, 2)), 0.5), "x", "0.5"),
     ],
     ids=["build_loop_matrix", "eigenspace_decomposition", "eigenvalues_at", "content_product"],
 )
-def test_loop_matrix_entry_points_refuse_floats(call, value):
-    message = f"x must be a rational: refusing the float {value}"
-    with pytest.raises(InvalidInputError, match=re.escape(message)):
+def test_loop_matrix_entry_points_refuse_floats(call, argument, value):
+    message = f"{argument} must be a rational: refusing the float {value}"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
         call()
 
 

@@ -23,8 +23,8 @@ from nodaltrade.node_trade import (
     recover_batch,
     spot_check_invariance,
 )
-from nodaltrade.pairings import double_factorial_odd, enumerate_pairings
-from nodaltrade.tensor_oracle import BilinearSpace, Tensor, form_tensor
+from nodaltrade.pairings import double_factorial_odd
+from nodaltrade.tensor_oracle import BilinearSpace, Tensor, all_form_tensors
 
 
 def test_odd_insertions_refused():
@@ -261,8 +261,8 @@ def test_expansion_is_the_sorted_nonzero_support(cell, data):
     assert flats == sorted(set(flats))
     assert all(value for _, value in tensor.support)
     expected = [Fraction(0)] * space.dim ** (2 * n)
-    for c, p in zip(coords, enumerate_pairings(n)):
-        for flat, value in enumerate(form_tensor(p, space).coeffs):
+    for c, form in zip(coords, all_form_tensors(n, space)):
+        for flat, value in enumerate(form.coeffs):
             if value:
                 expected[flat] += c * value
     assert tensor.coeffs == tuple(expected)

@@ -76,7 +76,7 @@ def test_pencil_counts():
 def test_pencil_count_refuses_a_float_or_a_bool(args, message):
     with pytest.raises(InvalidInputError, match=f"^{message}$"):
         pencil_reducible_count(*args)
-    with pytest.raises(InvalidInputError, match="^base point count must be >= 0$"):
+    with pytest.raises(InvalidInputError, match="^base point count must be >= 0, got -1$"):
         pencil_reducible_count(4, -1)
 
 

@@ -1,11 +1,23 @@
+import re
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import nodaltrade
+from nodaltrade.case_study import compute_lhs, elliptic_demo, parent_graph
+from nodaltrade.cohomology import CohRing
+from nodaltrade.errors import InvalidInputError
+from nodaltrade.loop_matrix import flavor_dimension
+from nodaltrade.node_trade import primitive_insertion_pairs
+from nodaltrade.pairings import Pairing, act_permutation
+from nodaltrade.partitions import Partition, all_partitions, even_row_partitions
+from nodaltrade.plane_counts import OracleTable, kontsevich_nd, pencil_reducible_count
 from nodaltrade.rationals import as_rational, format_rational, over_common_denominator
+from nodaltrade.stable_graphs import Leg, StableGraph, Vertex
 
 
 class Tagged(Fraction):
@@ -52,3 +64,63 @@ def test_over_common_denominator_is_exact_and_in_lowest_terms(values):
     assert den > 0 and gcd(den, *numerators) == 1
     assert {type(a) for a in numerators} <= {int}
     assert [Fraction(a, den) for a in numerators] == values
+
+
+def _integer(argument, below=None, refusal=None):
+    """The gate's refusals of 2.0 and True, and of a value below the bound:
+    by the gate itself unless another check names the bound."""
+    cases = [(value, f"{argument} must be an integer, got {value!r}") for value in (2.0, True)]
+    if below is not None:
+        cases.append((below, refusal or f"{argument} must be >= {below + 1}, got {below}"))
+    return cases
+
+
+POINT = (Vertex(0, (1,)),)
+
+# every argument that takes an integer or a rational, with the value it is
+# given in and what each refused value must raise
+GATED = {
+    "Pairing": (lambda v: Pairing(((v, 1),)),
+                _integer("pairing entry", 0, "pairs must cover 1..2 exactly once, got ((0, 1),)")),
+    "act_permutation": (lambda v: act_permutation((v, 1, 3, 4), Pairing(((1, 2), (3, 4)))),
+                        _integer("permutation entry", 0, "not a bijection on 1..4: (0, 1, 3, 4)")),
+    "Partition": (lambda v: Partition((v,)), _integer("partition part", 0)),
+    "all_partitions": (all_partitions, _integer("m", -1)),
+    "even_row_partitions": (even_row_partitions, _integer("m", 1)),
+    "Vertex.genus": (lambda v: Vertex(v, (1,)), _integer("genus", -1)),
+    "Vertex.cls": (lambda v: Vertex(0, (1, v)), _integer("class entry")),
+    "Leg.vertex": (lambda v: StableGraph(POINT, (), (Leg(v, 1),)),
+                   _integer("leg vertex", -1, "leg 1 attached out of range")),
+    "Leg.multiplicity": (lambda v: Leg(0, 1, "relative", v),
+                         _integer("multiplicity", 0, "relative legs need a positive multiplicity")),
+    "StableGraph.edges": (lambda v: StableGraph(POINT, ((0, v),), ()),
+                          _integer("edge end", -1, "edge (0,-1) out of vertex range")),
+    "flavor_dimension": (lambda v: flavor_dimension("symplectic", v), _integer("k", 0)),
+    "kontsevich_nd": (kontsevich_nd, _integer("degree", 0)),
+    "CohRing.degrees": (lambda v: CohRing("model", ("1", "x"), (0, v), ((0, 1), (1, 0))),
+                        _integer("degree", -1)),
+    "pencil_reducible_count.chi": (lambda v: pencil_reducible_count(v, 5), _integer("chi")),
+    "pencil_reducible_count.basepoints":
+        (lambda v: pencil_reducible_count(4, v), _integer("base point count", -1)),
+    "primitive_insertion_pairs": (primitive_insertion_pairs, _integer("insertion count", -1)),
+    "parent_graph": (parent_graph, _integer("num_points", -1)),
+    "compute_lhs": (compute_lhs, _integer("num_points", -1)),
+    "elliptic_demo": (lambda v: elliptic_demo(1, 0, v, 1),
+                      [(0.1, "u2 must be a rational: refusing the float 0.1")]),
+    "OracleTable.with_entry": (lambda v: OracleTable().with_entry("k", v, "p"),
+                               [(0.1, "value must be a rational: refusing the float 0.1")]),
+}
+
+
+@pytest.mark.parametrize("name", list(GATED))
+def test_every_number_argument_is_refused_by_its_gate(name):
+    call, refusals = GATED[name]
+    for value, message in refusals:
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+
+def test_only_the_integer_gate_decides_what_an_integer_is():
+    package = Path(nodaltrade.__file__).parent
+    holders = sorted(f.name for f in package.glob("*.py") if "must be an integer" in f.read_text())
+    assert holders == ["rationals.py"]

@@ -27,15 +27,23 @@ from nodaltrade.tensor_oracle import (
     all_form_tensors,
     contract,
     diagonal_insertion_matrix,
-    diagonal_multivector,
     diagonal_row,
     form_combination,
-    form_tensor,
     invariant_map_rank,
     permute_slots,
 )
 
 CELLS = [(flavor, k) for flavor in ("orthogonal", "symplectic") for k in (1, 2, 3)]
+
+
+def form_tensor(p, space):
+    """The form tensor of p, read from its cell's cache."""
+    return all_form_tensors(p.n, space)[enumerate_pairings(p.n).index(p)]
+
+
+def diagonal_multivector(p, space):
+    """The diagonal multivector of p, read from its cell's cache."""
+    return all_diagonal_multivectors(p.n, space)[enumerate_pairings(p.n).index(p)]
 
 
 def dense_tensor(n, dim, coeffs):
@@ -206,7 +214,7 @@ def test_resource_ceiling():
     with pytest.raises(ResourceLimitError, match="dim <= 6"):
         all_diagonal_multivectors(1, BilinearSpace("orthogonal", 7))
     with pytest.raises(ResourceLimitError):
-        form_tensor(Pairing(((1, 2),)), BilinearSpace("symplectic", 4))
+        all_form_tensors(1, BilinearSpace("symplectic", 4))
 
 
 def test_dense_tensors_are_their_supports():
