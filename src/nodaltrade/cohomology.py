@@ -198,9 +198,10 @@ class CohRing(Frozen, derived=("duals",)):
             raise InvalidInputError(
                 f"curve class must have {self.curve_rank} coordinates in {self.name}"
             )
+        curve = [integer_argument("class entry", a) for a in curve]
         d = self.divisor_to_lattice(divisor)
         return sum(
-            (Fraction(a) * self.intersection_matrix[i][j] * d[j]
+            (a * self.intersection_matrix[i][j] * d[j]
              for i, a in enumerate(curve) if a
              for j in range(self.curve_rank) if d[j]),
             Fraction(0),

@@ -8,18 +8,13 @@ normalization, so no floating point and no rounding anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
-from .rationals import over_common_denominator
+from .rationals import divided_by_gcd, over_common_denominator
 
 
 def _integerize(row):
     """Scale a row of Fractions/ints to coprime integers."""
-    ints = over_common_denominator(row)[0]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+    return divided_by_gcd(over_common_denominator(row)[0])
 
 
 def _eliminate(rows, width=None):
@@ -49,11 +44,7 @@ def _eliminate(rows, width=None):
             q = rows[r][pc]
             if not q:
                 continue
-            new = [p * a - q * b for a, b in zip(rows[r], rows[pr])]
-            g = gcd(*new)
-            if g > 1:
-                new = [x // g for x in new]
-            rows[r] = new
+            rows[r] = divided_by_gcd([p * a - q * b for a, b in zip(rows[r], rows[pr])])
         pivots.append((pr, pc))
         pr += 1
         if pr == n_rows:

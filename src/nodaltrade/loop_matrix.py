@@ -36,7 +36,9 @@ from .partitions import (
     even_row_partitions,
     hook_dimension,
 )
-from .rationals import as_rational, integer_argument, over_common_denominator, rational_argument
+from .rationals import (
+    as_rational, divided_by_gcd, integer_argument, over_common_denominator, rational_argument
+)
 
 ORTHOGONAL = "orthogonal"
 SYMPLECTIC = "symplectic"
@@ -84,10 +86,11 @@ def admissible_partitions(n: int, flavor: str, k: int) -> list[Partition]:
     return [lam for lam in even_row_partitions(2 * n) if is_admissible(flavor, k, lam)]
 
 
-class PairingVector(Frozen):
-    """Exact-rational coordinates over the canonical pairing basis."""
+class PairingVector(Frozen, fields=("n", "coords")):
+    """Exact-rational coordinates over the canonical pairing basis, kept as integer
+    numerators in lowest terms over one denominator >= 1; `coords` is a view."""
 
-    __slots__ = ("n", "coords")
+    __slots__ = ("n", "numerators", "denominator")
 
     def __init__(self, n, coords):
         expected = double_factorial_odd(n)  # checks n
@@ -99,25 +102,32 @@ class PairingVector(Frozen):
             raise InvalidInputError(
                 f"need {expected} coordinates for n={n}, got {len(coords)}"
             )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coords", coords)
+        self._set(n, *over_common_denominator(coords))
+
+    @classmethod
+    def _over(cls, n, numerators, denominator):
+        """numerators / denominator in lowest terms, for a checked n and denominator >= 1."""
+        *numerators, denominator = divided_by_gcd([*numerators, denominator])
+        v = cls.__new__(cls)
+        v._set(n, numerators, denominator)
+        return v
+
+    @property
+    def coords(self) -> tuple:
+        return tuple(Fraction(a, self.denominator) for a in self.numerators)
 
     def __add__(self, other):
         if self.n != other.n:
             raise InvalidInputError("mismatched pairing sizes")
         return PairingVector(self.n, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __sub__(self, other):
-        if self.n != other.n:
-            raise InvalidInputError("mismatched pairing sizes")
-        return PairingVector(self.n, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
     def scale(self, c) -> "PairingVector":
         c = rational_argument("scale factor", c)
-        return PairingVector(self.n, tuple(c * a for a in self.coords))
+        numerators = [c.numerator * a for a in self.numerators]
+        return self._over(self.n, numerators, c.denominator * self.denominator)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.numerators)
 
     @staticmethod
     def zero(n: int) -> "PairingVector":
@@ -341,7 +351,7 @@ def _buckets(v: PairingVector) -> tuple[list[list[int]], int]:
     the one before it is what the row total leaves, so p(n) - 2 buckets
     per row are summed.
     """
-    ints, den = over_common_denominator(v.coords)
+    ints, den = v.numerators, v.denominator
     if v.n == 1:  # one pairing, one type
         return [ints], den
     total = sum(ints)
@@ -357,8 +367,7 @@ def _buckets(v: PairingVector) -> tuple[list[list[int]], int]:
 
 def _apply(n: int, buckets, element) -> PairingVector:
     (rows, den), (coeffs, scale) = buckets, element
-    scale *= den
-    return PairingVector(n, [Fraction(sum(map(mul, coeffs, b)), scale) for b in rows])
+    return PairingVector._over(n, [sum(map(mul, coeffs, b)) for b in rows], scale * den)
 
 
 @lru_cache(maxsize=None)

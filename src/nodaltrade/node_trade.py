@@ -106,7 +106,7 @@ def _monomial_generators(space: BilinearSpace):
 
 def contract_with_all_diagonals(omega: InvariantTensor) -> PairingVector:
     """Vector of contractions of the tensor against every diagonal multivector."""
-    return PairingVector(omega.n, diagonal_row(omega.tensor, omega.space))
+    return diagonal_row(omega.tensor, omega.space)
 
 
 def recover(contractions, n: int, space: BilinearSpace, sign: int = 1) -> InvariantTensor:

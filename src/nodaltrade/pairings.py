@@ -62,9 +62,12 @@ class Pairing(Frozen):
     __slots__ = ("pairs",)
 
     def __init__(self, pairs):
+        for pair in pairs:
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise InvalidInputError(f"a pair must have two entries, got {pair!r}")
+        seen = sorted(integer_argument("pairing entry", x) for p in pairs for x in p)
         canon = tuple(sorted((min(a, b), max(a, b)) for a, b in pairs))
         n = len(canon)
-        seen = sorted(integer_argument("pairing entry", x) for p in canon for x in p)
         if seen != list(range(1, 2 * n + 1)):
             raise InvalidInputError(
                 f"pairs must cover 1..{2 * n} exactly once, got {pairs}"

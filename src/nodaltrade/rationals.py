@@ -1,5 +1,5 @@
 """Exact rationals: the argument gates, parsing and formatting as "p/q"
-strings, and one common denominator.
+strings, one common denominator, and one division of integers by their gcd.
 
 All machine-readable output renders numbers this way so that no consumer
 ever sees a float.  `integer_argument` alone decides what an integer
@@ -7,7 +7,7 @@ argument is, and `rational_argument` what a rational argument is.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import InvalidInputError
 
@@ -57,6 +57,12 @@ def over_common_denominator(values) -> tuple[list[int], int]:
     if den == 1:
         return [v.numerator for v in values], 1
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def divided_by_gcd(ints: list[int]) -> list[int]:
+    """The integers divided by their gcd: the list itself if that is 0 or 1."""
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
 def format_rational(value) -> str:

@@ -331,19 +331,18 @@ def form_combination(v: PairingVector, space: BilinearSpace) -> Tensor:
     distinct total (an int if the denominator is 1).
     """
     forms, _, table, form_sparse, _ = _pairing_tensors(v.n, space)
-    numerators, den = over_common_denominator(v.coords)
     totals = [0] * len(forms[0].class_values)
-    for c, (classes, values) in zip(numerators, form_sparse):
+    for c, (classes, values) in zip(v.numerators, form_sparse):
         if c:
             for i, value in zip(classes, values):
                 totals[i] += c * value
-    if den > 1:
-        shared = {total: Fraction(total, den) for total in set(totals)}
+    if v.denominator > 1:
+        shared = {total: Fraction(total, v.denominator) for total in set(totals)}
         totals = list(map(shared.__getitem__, totals))
     return Tensor._over(v.n, space.dim, table, totals)
 
 
-def diagonal_row(t: Tensor, space: BilinearSpace) -> tuple:
+def diagonal_row(t: Tensor, space: BilinearSpace) -> PairingVector:
     """Contractions of t against the diagonal multivector of every t.n-pairing.
 
     D_Q is constant on each class and 0 off the union, so for t on the
@@ -355,12 +354,12 @@ def diagonal_row(t: Tensor, space: BilinearSpace) -> tuple:
         raise InvalidInputError(f"tensor has dim {t.dim}, the space has dim {space.dim}")
     _, diags, table, _, diag_sparse = _pairing_tensors(t.n, space)
     if t.table is not table:
-        return tuple(contract(t, d) for d in diags)
+        return PairingVector(t.n, [contract(t, d) for d in diags])
     numerators, den = over_common_denominator(t.class_values)
-    return tuple(
-        Fraction(sum(map(mul, weights, map(numerators.__getitem__, classes))), den)
+    return PairingVector._over(t.n, [
+        sum(map(mul, weights, map(numerators.__getitem__, classes)))
         for classes, weights in diag_sparse
-    )
+    ], den)
 
 
 def diagonal_insertion_matrix(n: int, space: BilinearSpace):
@@ -370,7 +369,7 @@ def diagonal_insertion_matrix(n: int, space: BilinearSpace):
     of the enumerated supports, weighted by each diagonal.  Never consults
     the loop matrix, so comparing the two is a genuine dual-route check.
     """
-    return tuple(diagonal_row(form, space) for form in all_form_tensors(n, space))
+    return tuple(diagonal_row(form, space).coords for form in all_form_tensors(n, space))
 
 
 def invariant_map_rank(n: int, space: BilinearSpace):

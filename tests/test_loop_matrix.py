@@ -1,8 +1,9 @@
+import pickle
 import random
 import re
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, gcd
 from operator import mul
 
 import pytest
@@ -40,7 +41,12 @@ from nodaltrade.partitions import (
     even_row_partitions,
     hook_dimension,
 )
-from nodaltrade.tensor_oracle import BilinearSpace, diagonal_insertion_matrix, form_combination
+from nodaltrade.tensor_oracle import (
+    BilinearSpace,
+    diagonal_insertion_matrix,
+    diagonal_row,
+    form_combination,
+)
 
 CELLS = [(flavor, k) for flavor in ("orthogonal", "symplectic") for k in (1, 2, 3)]
 
@@ -135,6 +141,63 @@ def test_pairing_vector_validation():
     v = PairingVector(2, (1, 2, 3))
     assert (v + v).coords == (2, 4, 6)
     assert v.scale(Fraction(1, 2)).coords == (Fraction(1, 2), 1, Fraction(3, 2))
+
+
+def in_lowest_terms(v):
+    return (
+        {type(a) for a in v.numerators} == {int} and type(v.denominator) is int
+        and v.denominator >= 1 and gcd(v.denominator, *v.numerators) == 1
+    )
+
+
+# a coordinate as an int, a Fraction or a "p/q" string not necessarily in lowest terms
+coordinates = st.one_of(
+    st.integers(-40, 40),
+    st.fractions(min_value=-10, max_value=10, max_denominator=12),
+    st.tuples(st.integers(-40, 40), st.integers(1, 12)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 3), cell=st.sampled_from(CELLS), data=st.data())
+def test_pairing_vectors_are_integer_numerators_over_one_denominator(n, cell, data):
+    assert PairingVector.__slots__ == ("n", "numerators", "denominator")
+    drawn = data.draw(st.lists(coordinates, min_size=double_factorial_odd(n),
+                               max_size=double_factorial_odd(n)))
+    v = PairingVector(n, drawn)
+    assert in_lowest_terms(v)
+    assert v.coords == tuple(map(Fraction, drawn))
+    again = PairingVector(n, v.coords)
+    assert v == again and hash(v) == hash(again) and repr(v) == repr(again)
+    assert pickle.loads(pickle.dumps(v)) == v and v.replace(n=n) == v
+    # the producers' vectors: M(x) v at the flavor point lies in the invariant
+    # subspace, and it is v's row of diagonal contractions
+    space = BilinearSpace(*cell)
+    image = build_loop_matrix(n, flavor_specialization(*cell)).apply(v)
+    row = diagonal_row(form_combination(v, space), space)
+    solved = restricted_inverse_apply(n, *cell, image)
+    assert row.__class__ is PairingVector and row == image
+    assert solved == project_invariant(v, *cell)
+    assert all(map(in_lowest_terms, (image, row, solved, v.scale(data.draw(coordinates)))))
+
+
+def test_pairing_vectors_reduce_sums_that_share_a_factor_with_the_scale():
+    assert repr(PairingVector(2, (1, "-3/6", Fraction(4, 2)))) == (
+        "PairingVector(n=2, coords=(Fraction(1, 1), Fraction(-1, 2), Fraction(2, 1)))"
+    )
+    half = PairingVector(2, (Fraction(1, 2),) * 3)
+    assert (list(half.numerators), half.denominator) == ([1, 1, 1], 2)
+    # each row sums 4 + 2 + 2 halves, 8 over the scale 2
+    image = build_loop_matrix(2, 2).apply(half)
+    assert (list(image.numerators), image.denominator) == ([4, 4, 4], 1)
+    # the inverse at x = 2 divides by 8: 2/8 is 1/4
+    solved = restricted_inverse_apply(2, "orthogonal", 2, PairingVector(2, (2, 2, 2)))
+    assert (list(solved.numerators), solved.denominator) == ([1, 1, 1], 4)
+    # three form tensors of weight 1/2 against each diagonal: 4/2 + 2/2 + 2/2 at dim 2
+    space = BilinearSpace("orthogonal", 2)
+    row = diagonal_row(form_combination(half, space), space)
+    assert (list(row.numerators), row.denominator) == ([4, 4, 4], 1)
+    assert PairingVector(2, (6, -4, 2)).scale(Fraction(1, 2)).denominator == 1
 
 
 @pytest.mark.parametrize("n", [0, -1])

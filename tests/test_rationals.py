@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 import nodaltrade
 from nodaltrade.case_study import compute_lhs, elliptic_demo, parent_graph
-from nodaltrade.cohomology import CohRing
+from nodaltrade.cohomology import (
+    CohRing,
+    InsertionList,
+    divisor_reduce,
+    load_model,
+    make_insertions,
+    middle_diagonal_divisor_factor,
+)
 from nodaltrade.errors import InvalidInputError
 from nodaltrade.loop_matrix import flavor_dimension
 from nodaltrade.node_trade import primitive_insertion_pairs
@@ -82,6 +89,10 @@ POINT = (Vertex(0, (1,)),)
 GATED = {
     "Pairing": (lambda v: Pairing(((v, 1),)),
                 _integer("pairing entry", 0, "pairs must cover 1..2 exactly once, got ((0, 1),)")),
+    "Pairing.pairs": (Pairing, [((("1", 2),), "pairing entry must be an integer, got '1'"),
+                                (((1, 2, 3),), "a pair must have two entries, got (1, 2, 3)"),
+                                (((1,),), "a pair must have two entries, got (1,)"),
+                                ((1, 2), "a pair must have two entries, got 1")]),
     "act_permutation": (lambda v: act_permutation((v, 1, 3, 4), Pairing(((1, 2), (3, 4)))),
                         _integer("permutation entry", 0, "not a bijection on 1..4: (0, 1, 3, 4)")),
     "Partition": (lambda v: Partition((v,)), _integer("partition part", 0)),
@@ -95,6 +106,17 @@ GATED = {
                          _integer("multiplicity", 0, "relative legs need a positive multiplicity")),
     "StableGraph.edges": (lambda v: StableGraph(POINT, ((0, v),), ()),
                           _integer("edge end", -1, "edge (0,-1) out of vertex range")),
+    "CohRing.intersect": (lambda v: load_model("p2").intersect((v,), "H"),
+                          [(0.1, "class entry must be an integer, got 0.1"), *_integer("class entry")]),
+    "CohRing.intersect.f1": (lambda v: load_model("f1").intersect((v, 2), "F"),
+                             _integer("class entry")),
+    "middle_diagonal_divisor_factor": (
+        lambda v: middle_diagonal_divisor_factor(load_model("p2"), (v,)),
+        [(0.1, "class entry must be an integer, got 0.1")]),
+    "divisor_reduce": (
+        lambda v: divisor_reduce(
+            InsertionList(0, (v,), make_insertions(load_model("p2"), ["H"])), "H", load_model("p2")),
+        _integer("class entry")),
     "flavor_dimension": (lambda v: flavor_dimension("symplectic", v), _integer("k", 0)),
     "kontsevich_nd": (kontsevich_nd, _integer("degree", 0)),
     "CohRing.degrees": (lambda v: CohRing("model", ("1", "x"), (0, v), ((0, 1), (1, 0))),
