@@ -17,7 +17,7 @@ from types import MappingProxyType
 from . import linalg, read_bundled
 from .errors import InvalidInputError, InvalidModelError, UnsupportedCaseError
 from .frozen import Frozen
-from .rationals import as_rational, format_rational, integer_argument, parse_rational
+from .rationals import as_rational, format_rational, integer_argument
 
 
 def _join_terms(terms) -> str:
@@ -25,6 +25,14 @@ def _join_terms(terms) -> str:
     if not terms:
         return "0"
     return terms[0] + "".join(t if t.startswith("-") else "+" + t for t in terms[1:])
+
+
+def _rational_rows(name, what, rows) -> tuple[tuple[Fraction, ...], ...]:
+    """Model data as rows of Fractions; a refusal names the model."""
+    try:
+        return tuple(tuple(map(as_rational, row)) for row in rows)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InvalidModelError(f"model {name}: {what} entries must be rationals: {exc}") from exc
 
 
 class CohRing(Frozen, derived=("duals",)):
@@ -63,18 +71,30 @@ class CohRing(Frozen, derived=("duals",)):
                 f"model {name}: pairing must be {size} x {size}, one entry per basis label"
             )
         degrees = tuple(integer_argument("degree", d, 0) for d in degrees)
-        try:
-            pairing = tuple(tuple(map(as_rational, row)) for row in pairing)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise InvalidModelError(
-                f"model {name}: pairing entries must be rationals: {exc}"
-            ) from exc
+        pairing = _rational_rows(name, "pairing", pairing)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "pairing", pairing)
         object.__setattr__(self, "curve_labels", curve_labels)
+        if intersection_matrix is not None:
+            intersection_matrix = _rational_rows(name, "intersection matrix", intersection_matrix)
+            r = self.curve_rank
+            if len(intersection_matrix) != r or any(len(row) != r for row in intersection_matrix):
+                raise InvalidModelError(
+                    f"model {name}: intersection matrix must be {r} x {r}, one entry per curve label"
+                )
+        if divisor_lattice is not None:
+            vectors = _rational_rows(name, "divisor lattice", divisor_lattice.values())
+            divisor_lattice = MappingProxyType(dict(zip(divisor_lattice, vectors)))
+            for lab, vec in divisor_lattice.items():
+                if lab not in labels or len(vec) != self.curve_rank:
+                    raise InvalidModelError(
+                        f"model {name}: the divisor lattice must map basis labels to vectors "
+                        f"of length {self.curve_rank}, got length {len(vec)} for {lab!r}"
+                    )
         object.__setattr__(self, "intersection_matrix", intersection_matrix)
+        object.__setattr__(self, "divisor_lattice", divisor_lattice)
         # one kernel of [G | -I] both proves G nonsingular and inverts it: its
         # basis vector with free part e_j is (G^-1 e_j, e_j)
         augmented = [
@@ -85,9 +105,6 @@ class CohRing(Frozen, derived=("duals",)):
         if [v[size:] for v in kernel] != [self.basis_vector(j) for j in range(size)]:
             raise InvalidModelError(f"model {self.name}: pairing is singular")
         object.__setattr__(self, "duals", tuple(v[:size] for v in kernel))
-        if divisor_lattice is not None:
-            divisor_lattice = MappingProxyType(dict(divisor_lattice))
-        object.__setattr__(self, "divisor_lattice", divisor_lattice)
         top = self.top_degree
         for i in range(size):
             for j in range(size):
@@ -194,11 +211,16 @@ class CohRing(Frozen, derived=("duals",)):
 
     def intersect(self, curve, divisor) -> Fraction:
         """Intersection number of a curve class with a degree-2 class."""
+        try:
+            curve = [integer_argument("class entry", a) for a in curve]
+        except TypeError as exc:
+            raise InvalidInputError(
+                f"curve class must be a sequence of integers in {self.name}, got {curve!r}"
+            ) from exc
         if len(curve) != self.curve_rank:
             raise InvalidInputError(
                 f"curve class must have {self.curve_rank} coordinates in {self.name}"
             )
-        curve = [integer_argument("class entry", a) for a in curve]
         d = self.divisor_to_lattice(divisor)
         return sum(
             (a * self.intersection_matrix[i][j] * d[j]
@@ -219,24 +241,15 @@ def load_model(name: str) -> CohRing:
 
 
 def ring_from_json(name: str, raw: dict) -> CohRing:
-    labels = tuple(b["label"] for b in raw["basis"])
-    degrees = tuple(b["degree"] for b in raw["basis"])
-    curve_labels = None
-    imat = None
-    dlat = None
+    curve_labels = imat = dlat = None
     if "curve_classes" in raw:
         curve_labels = tuple(raw["curve_classes"]["labels"])
-        imat = tuple(
-            tuple(parse_rational(x) for x in row) for row in raw["intersections"]["matrix"]
-        )
-        dlat = {
-            lab: tuple(parse_rational(x) for x in vec)
-            for lab, vec in raw["intersections"]["divisors"].items()
-        }
+        imat = raw["intersections"]["matrix"]
+        dlat = raw["intersections"]["divisors"]
     return CohRing(
         name=name,
-        labels=labels,
-        degrees=degrees,
+        labels=tuple(b["label"] for b in raw["basis"]),
+        degrees=tuple(b["degree"] for b in raw["basis"]),
         pairing=raw["pairing"],
         curve_labels=curve_labels,
         intersection_matrix=imat,

@@ -62,6 +62,10 @@ class Pairing(Frozen):
     __slots__ = ("pairs",)
 
     def __init__(self, pairs):
+        try:
+            pairs = tuple(pairs)
+        except TypeError as exc:
+            raise InvalidInputError(f"pairs must be a sequence of pairs, got {pairs!r}") from exc
         for pair in pairs:
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
                 raise InvalidInputError(f"a pair must have two entries, got {pair!r}")

@@ -368,3 +368,56 @@ def test_pairing_entries_must_be_rationals(entry, reason):
     message = f"model skewed: pairing entries must be rationals: {reason}"
     with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
         CohRing(name="skewed", labels=("1", "x"), degrees=(0, 2), pairing=((0, entry), (1, 0)))
+
+
+def plane(**data):
+    """A projective plane built directly, with its curve-lattice data as given."""
+    lattice = dict(curve_labels=("H",), intersection_matrix=(("1",),), divisor_lattice={"H": ("1",)})
+    return CohRing(
+        name="plane",
+        labels=("1", "H", "pt"),
+        degrees=(0, 2, 4),
+        pairing=((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+        **{**lattice, **data},
+    )
+
+
+def test_curve_lattice_data_becomes_fractions_in_the_constructor():
+    ring = plane()
+    assert ring.intersection_matrix == ((Fraction(1),),)
+    assert dict(ring.divisor_lattice) == {"H": (Fraction(1),)}
+    assert ring.intersect((2,), "H") == 2
+    assert ring.intersect((2,), "H").__class__ is Fraction
+    p2 = load_model("p2")
+    assert (p2.intersection_matrix, dict(p2.divisor_lattice)) == (
+        ring.intersection_matrix, dict(ring.divisor_lattice))
+
+
+LATTICE_SHAPE = "model plane: the divisor lattice must map basis labels to vectors of length 1, "
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (dict(intersection_matrix=((0.5,),)),
+         "model plane: intersection matrix entries must be rationals: refusing the float 0.5"),
+        (dict(divisor_lattice={"H": (0.25,)}),
+         "model plane: divisor lattice entries must be rationals: refusing the float 0.25"),
+        (dict(intersection_matrix=(("one",),)),
+         "model plane: intersection matrix entries must be rationals: "
+         "Invalid literal for Fraction: 'one'"),
+        (dict(intersection_matrix=((1, 0),)),
+         "model plane: intersection matrix must be 1 x 1, one entry per curve label"),
+        (dict(intersection_matrix=((1,), (0,))),
+         "model plane: intersection matrix must be 1 x 1, one entry per curve label"),
+        (dict(divisor_lattice={"H": (1, 0)}), LATTICE_SHAPE + "got length 2 for 'H'"),
+        (dict(divisor_lattice={"D": (1,)}), LATTICE_SHAPE + "got length 1 for 'D'"),
+        (dict(curve_labels=None), "model plane carries no curve-class lattice"),
+    ],
+    ids=["float-matrix", "float-lattice", "unparseable-string", "wide-matrix", "tall-matrix",
+         "long-lattice-vector", "unknown-divisor", "no-curve-labels"],
+)
+def test_curve_lattice_data_is_refused_naming_the_model(data, message):
+    # a float used to pass through: intersect((2,), "H") gave 1.0 and 0.5
+    with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
+        plane(**data)

@@ -93,6 +93,8 @@ GATED = {
                                 (((1, 2, 3),), "a pair must have two entries, got (1, 2, 3)"),
                                 (((1,),), "a pair must have two entries, got (1,)"),
                                 ((1, 2), "a pair must have two entries, got 1")]),
+    "Pairing.pairs.iterable": (Pairing, [(None, "pairs must be a sequence of pairs, got None"),
+                                         (5, "pairs must be a sequence of pairs, got 5")]),
     "act_permutation": (lambda v: act_permutation((v, 1, 3, 4), Pairing(((1, 2), (3, 4)))),
                         _integer("permutation entry", 0, "not a bijection on 1..4: (0, 1, 3, 4)")),
     "Partition": (lambda v: Partition((v,)), _integer("partition part", 0)),
@@ -108,6 +110,9 @@ GATED = {
                           _integer("edge end", -1, "edge (0,-1) out of vertex range")),
     "CohRing.intersect": (lambda v: load_model("p2").intersect((v,), "H"),
                           [(0.1, "class entry must be an integer, got 0.1"), *_integer("class entry")]),
+    "CohRing.intersect.curve": (
+        lambda v: load_model("p2").intersect(v, "H"),
+        [(v, f"curve class must be a sequence of integers in p2, got {v!r}") for v in (5, None)]),
     "CohRing.intersect.f1": (lambda v: load_model("f1").intersect((v, 2), "F"),
                              _integer("class entry")),
     "middle_diagonal_divisor_factor": (
@@ -140,6 +145,15 @@ def test_every_number_argument_is_refused_by_its_gate(name):
     for value, message in refusals:
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             call(value)
+
+
+def test_a_generator_gives_what_its_tuple_gives():
+    # the pair-shape check used to use up a generator, leaving Pairing(pairs=())
+    pairs = ((1, 2), (3, 4))
+    assert Pairing(p for p in pairs) == Pairing(pairs)
+    assert Pairing(p for p in pairs).n == 2
+    p2 = load_model("p2")
+    assert p2.intersect((a for a in (2,)), "H") == p2.intersect((2,), "H") == 2
 
 
 def test_only_the_integer_gate_decides_what_an_integer_is():
