@@ -94,8 +94,8 @@ class PairingVector(Frozen, fields=("n", "coords")):
 
     def __init__(self, n, coords):
         expected = double_factorial_odd(n)  # checks n
-        try:
-            coords = tuple(map(as_rational, coords))
+        try:  # an exact int or Fraction is kept as it is
+            coords = [c if c.__class__ in (int, Fraction) else as_rational(c) for c in coords]
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"coordinates for n={n} must be rationals: {exc}") from exc
         if len(coords) != expected:
@@ -109,7 +109,10 @@ class PairingVector(Frozen, fields=("n", "coords")):
         """numerators / denominator in lowest terms, for a checked n and denominator >= 1."""
         *numerators, denominator = divided_by_gcd([*numerators, denominator])
         v = cls.__new__(cls)
-        v._set(n, numerators, denominator)
+        setattr_ = object.__setattr__
+        setattr_(v, "n", n)
+        setattr_(v, "numerators", numerators)
+        setattr_(v, "denominator", denominator)
         return v
 
     @property
@@ -117,9 +120,13 @@ class PairingVector(Frozen, fields=("n", "coords")):
         return tuple(Fraction(a, self.denominator) for a in self.numerators)
 
     def __add__(self, other):
+        if not isinstance(other, PairingVector):
+            return NotImplemented
         if self.n != other.n:
             raise InvalidInputError("mismatched pairing sizes")
-        return PairingVector(self.n, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        d1, d2 = self.denominator, other.denominator
+        numerators = [a * d2 + b * d1 for a, b in zip(self.numerators, other.numerators)]
+        return self._over(self.n, numerators, d1 * d2)
 
     def scale(self, c) -> "PairingVector":
         c = rational_argument("scale factor", c)
@@ -424,17 +431,17 @@ def project_invariant(v: PairingVector, flavor: str, k: int) -> PairingVector:
 def restricted_inverse_apply(n: int, flavor: str, k: int, v: PairingVector) -> PairingVector:
     """Solve M(n, x) w = v on the invariant subspace, x the flavor point.
 
-    v must have zero component in every inadmissible block (checked).  The
-    solve is blockwise division by the nonzero content-product eigenvalue,
-    applied as one algebra element; the check reads the same buckets.
+    v must have zero component in every inadmissible block (checked if there
+    is one).  The solve is blockwise division by the nonzero content-product
+    eigenvalue, applied as one algebra element; the check reads the buckets.
     """
     check_n(n)
     if v.n != n:
         raise InvalidInputError(f"vector has n={v.n}, expected {n}")
-    flavor_specialization(flavor, k)
+    flavor_dimension(flavor, k)
     _, inverse, outside, blocks = _solve_data(n, flavor, k)
     buckets = _buckets(v)
-    if not _vanishes(buckets, outside):
+    if blocks and not _vanishes(buckets, outside):
         for lam, coeffs in blocks:
             if not _vanishes(buckets, coeffs):
                 raise SubspaceError(

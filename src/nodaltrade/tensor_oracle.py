@@ -3,10 +3,10 @@
 Enumerates the supports of the covariant pairing tensors and the
 contravariant diagonal multivectors and groups their flats into a class
 table: the flats with one column of pairing values share a class (140
-classes for 1,860 flats at n=3, dim 6).  Every tensor is one value per
-class; the pairing tensors and their combinations share their cell's table.
-The module owns that format: combinations, slot and basis remaps,
-contractions, the rank, and views of the nonzero coefficients on access.
+classes for 1,860 flats at n=3, dim 6).  Every tensor is one integer per
+class over one denominator; the pairing tensors and their combinations
+share their cell's table.  The module owns that format: combinations, slot
+and basis remaps, contractions, the rank, and views on access.
 The central assertion of the module is that the matrix of contractions
 reproduces the loop matrix at x = k (orthogonal) or x = -2k (symplectic);
 tests and the CLI perform that comparison entrywise, keeping the two
@@ -28,31 +28,25 @@ from .frozen import Frozen
 from .loop_matrix import ORTHOGONAL, PairingVector, admissible_partitions, flavor_dimension
 from .pairings import Pairing, check_n, check_permutation, crossing_number, enumerate_pairings
 from .partitions import hook_dimension
-from .rationals import over_common_denominator
+from .rationals import divided_by_gcd, integer_argument, over_common_denominator
 
 BRUTE_FORCE_MAX_N = 3
 BRUTE_FORCE_MAX_DIM = 6
 DENSE_COEFF_LIMIT = 4096
 
 
-class BilinearSpace(Frozen):
+class BilinearSpace(Frozen, derived=("dim",)):
     """A model space with the standard orthogonal or symplectic form.
 
     dim = k for the orthogonal flavor (orthonormal basis, identity form)
     and 2k for the symplectic flavor (standard basis e_1..e_k, f_1..f_k
-    with form(e_mu, f_mu) = 1).
+    with form(e_mu, f_mu) = 1); it is derived, computed once by the gate.
     """
 
-    __slots__ = ("flavor", "k")
+    __slots__ = ("flavor", "k", "dim")
 
     def __init__(self, flavor, k):
-        flavor_dimension(flavor, k)
-        object.__setattr__(self, "flavor", flavor)
-        object.__setattr__(self, "k", k)
-
-    @property
-    def dim(self) -> int:
-        return flavor_dimension(self.flavor, self.k)
+        self._set(flavor, k, flavor_dimension(flavor, k))
 
     @property
     def form(self) -> tuple[tuple[int, ...], ...]:
@@ -76,20 +70,21 @@ class BilinearSpace(Frozen):
 
 
 class Tensor(Frozen, fields=("n", "dim", "flats", "values")):
-    """Order-2n tensor stored as one value per class of a class table.
+    """Order-2n tensor stored as an integer per class of a class table, over one denominator.
 
     The table pairs strictly increasing flat positions with the class of
     each; index (a_1, ..., a_2n) with 0-based a_i lives at flat position
-    sum a_i * dim^(2n - i) (see `slot_weights`) and holds its class's value,
-    0 off the table.  The pairing tensors and their combinations share their
-    cell's table (see `_pairing_tensors`); `Tensor(n, dim, flats, values)`
-    gets a table of single-flat classes.  `flats`, `values`, `support`,
-    `coeffs`, `coefficient` and `to_json` read the nonzero coefficients,
-    built on each access; equality compares class values on a shared table
-    and these views otherwise.
+    sum a_i * dim^(2n - i) (see `slot_weights`) and holds its class's
+    numerator over the denominator >= 1, in lowest terms, 0 off the table.
+    The pairing tensors and their combinations share their cell's table (see
+    `_pairing_tensors`); `Tensor(n, dim, flats, values)` gets a table of
+    single-flat classes.  `flats`, `values`, `support`, `coeffs`,
+    `coefficient` and `to_json` read the nonzero coefficients, built on each
+    access: ints over denominator 1, else Fractions.  Equality compares the
+    numerators and denominator on a shared table and these views otherwise.
     """
 
-    __slots__ = ("n", "dim", "table", "class_values")
+    __slots__ = ("n", "dim", "table", "numerators", "denominator")
 
     def __init__(self, n, dim, flats, values):
         check_n(n)
@@ -105,22 +100,28 @@ class Tensor(Frozen, fields=("n", "dim", "flats", "values")):
             raise InvalidInputError(f"support value {value!r} at flat {flat} is not an int or Fraction")
         if not all(values):
             raise InvalidInputError("support holds a zero value")
-        self._set(n, dim, (flats, range(len(flats))), list(values))
+        self._set(n, dim, (flats, range(len(flats))), *over_common_denominator(values))
 
     @classmethod
-    def _over(cls, n, dim, table, class_values):
-        """The tensor with these values on the classes of a checked table, in a
-        list never changed: CPython 3.11 never reuses a freed 20-item tuple (it
-        keeps 2,000), and a cell with 20 classes would free two per roundtrip."""
-        if not set(map(type, class_values)) <= {int, Fraction}:
-            raise InvalidInputError("class values must be ints or Fractions")
+    def _over(cls, n, dim, table, numerators, denominator):
+        """numerators / denominator >= 1 in lowest terms on a checked table, in a list
+        never changed: CPython 3.11 never reuses a freed 20-item tuple (it keeps
+        2,000), and a cell with 20 classes would free two per roundtrip."""
+        if not set(map(type, numerators)) <= {int}:
+            raise InvalidInputError("class numerators must be ints")
+        *numerators, denominator = divided_by_gcd([*numerators, denominator])
         t = cls.__new__(cls)
-        t._set(n, dim, table, class_values)
+        setattr_ = object.__setattr__
+        setattr_(t, "n", n)
+        setattr_(t, "dim", dim)
+        setattr_(t, "table", table)
+        setattr_(t, "numerators", numerators)
+        setattr_(t, "denominator", denominator)
         return t
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__ and other.table is self.table:
-            return self.class_values == other.class_values  # one table per (n, space)
+        if other.__class__ is self.__class__ and other.table is self.table:  # one table per (n, space)
+            return self.numerators == other.numerators and self.denominator == other.denominator
         return Frozen.__eq__(self, other)
 
     __hash__ = Frozen.__hash__
@@ -128,13 +129,16 @@ class Tensor(Frozen, fields=("n", "dim", "flats", "values")):
     @property
     def flats(self) -> tuple:
         """The flat positions of the nonzero coefficients, increasing."""
-        (flats, class_of), values = self.table, self.class_values
-        return flats if all(values) else tuple(compress(flats, map(values.__getitem__, class_of)))
+        (flats, class_of), ints = self.table, self.numerators
+        return flats if all(ints) else tuple(compress(flats, map(ints.__getitem__, class_of)))
 
     @property
     def values(self) -> tuple:
-        """The nonzero coefficients, in flat order."""
-        return tuple(filter(None, map(self.class_values.__getitem__, self.table[1])))
+        """The nonzero coefficients, in flat order: ints over denominator 1, else Fractions."""
+        values, den = self.numerators, self.denominator
+        if den > 1:
+            values = [Fraction(a, den) for a in values]
+        return tuple(filter(None, map(values.__getitem__, self.table[1])))
 
     @property
     def support(self) -> tuple:
@@ -155,13 +159,13 @@ class Tensor(Frozen, fields=("n", "dim", "flats", "values")):
         if len(index) != self.order:
             raise InvalidInputError(f"index must have {self.order} slots")
         for a in index:
-            if not 0 <= a < self.dim:
+            if not 0 <= integer_argument("index entry", a) < self.dim:
                 raise InvalidInputError(f"index entry {a} out of range 0..{self.dim - 1}")
         flat = sum(map(mul, index, slot_weights(self.dim, self.order)))
         return Fraction(dict(self.support).get(flat, 0))
 
     def is_zero(self) -> bool:
-        return not any(self.class_values)
+        return not any(self.numerators)
 
     def to_json(self) -> dict:
         """Every coefficient up to DENSE_COEFF_LIMIT of them, else the nonzero ones by flat."""
@@ -299,7 +303,7 @@ def _pairing_tensors(n: int, space: BilinearSpace):
             form_rows[i][c], diag_rows[i][c] = f, d
     table = (union, class_of)
     forms, diags = (
-        tuple(Tensor._over(n, space.dim, table, row) for row in rows)
+        tuple(Tensor._over(n, space.dim, table, row, 1) for row in rows)
         for rows in (form_rows, diag_rows)
     )
     form_sparse, diag_sparse = (
@@ -326,20 +330,16 @@ def form_combination(v: PairingVector, space: BilinearSpace) -> Tensor:
 
     Adds the coordinates' integer numerators, one total per class, each
     pairing to the classes where its form tensor is nonzero, and keeps the
-    totals over the common denominator on the cell's class table; a class
-    whose total is 0 is absent from the views.  One value is stored per
-    distinct total (an int if the denominator is 1).
+    totals over v's denominator on the cell's class table; a class whose
+    total is 0 is absent from the views.
     """
     forms, _, table, form_sparse, _ = _pairing_tensors(v.n, space)
-    totals = [0] * len(forms[0].class_values)
+    totals = [0] * len(forms[0].numerators)
     for c, (classes, values) in zip(v.numerators, form_sparse):
         if c:
             for i, value in zip(classes, values):
                 totals[i] += c * value
-    if v.denominator > 1:
-        shared = {total: Fraction(total, v.denominator) for total in set(totals)}
-        totals = list(map(shared.__getitem__, totals))
-    return Tensor._over(v.n, space.dim, table, totals)
+    return Tensor._over(v.n, space.dim, table, totals, v.denominator)
 
 
 def diagonal_row(t: Tensor, space: BilinearSpace) -> PairingVector:
@@ -355,17 +355,17 @@ def diagonal_row(t: Tensor, space: BilinearSpace) -> PairingVector:
     _, diags, table, _, diag_sparse = _pairing_tensors(t.n, space)
     if t.table is not table:
         return PairingVector(t.n, [contract(t, d) for d in diags])
-    numerators, den = over_common_denominator(t.class_values)
+    numerators = t.numerators
     return PairingVector._over(t.n, [
         sum(map(mul, weights, map(numerators.__getitem__, classes)))
         for classes, weights in diag_sparse
-    ], den)
+    ], t.denominator)
 
 
 def diagonal_insertion_matrix(n: int, space: BilinearSpace):
     """Entry (P, P'): contraction of the P form tensor with the P' diagonal.
 
-    Brute force: the class values of each form tensor, times the class sizes
+    Brute force: the class numerators of each form tensor, times the class sizes
     of the enumerated supports, weighted by each diagonal.  Never consults
     the loop matrix, so comparing the two is a genuine dual-route check.
     """
@@ -383,7 +383,7 @@ def invariant_map_rank(n: int, space: BilinearSpace):
     tensors cancel.  The rank is (2n-1)!! less the kernel dimension.
     """
     check_brute_force_budget(n, space.dim)
-    form_rows = [form.class_values for form in _pairing_tensors(n, space)[0]]
+    form_rows = [form.numerators for form in _pairing_tensors(n, space)[0]]
     kernel = [PairingVector(n, combo) for combo in linalg.left_kernel(form_rows)]
     r = len(form_rows) - len(kernel)
     expected = sum(

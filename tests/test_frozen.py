@@ -104,6 +104,17 @@ def value_pairs(draw):
     return cls, a, b, changed
 
 
+def shown(cls, fields):
+    """The constructor's fields as the value shows them: a Tensor keeps its values
+    over one denominator, so it shows ints where that is 1 and Fractions otherwise."""
+    if cls is not Tensor:
+        return fields
+    values = tuple(map(Fraction, fields["values"]))
+    if all(v.denominator == 1 for v in values):
+        values = tuple(v.numerator for v in values)
+    return {**fields, "values": values}
+
+
 @settings(max_examples=300, deadline=None)
 @given(value_pairs())
 def test_frozen_values_behave_like_frozen_dataclasses(case):
@@ -121,7 +132,7 @@ def test_frozen_values_behave_like_frozen_dataclasses(case):
     assert x != twin and not x == twin
 
     reference = make_dataclass(cls.__name__, names, frozen=True)
-    assert repr(x) == repr(reference(**a))
+    assert repr(x) == repr(reference(**shown(cls, a)))
 
     for name in (*names, "extra"):
         with pytest.raises(FrozenInstanceError):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nodaltrade import loop_matrix
 from nodaltrade.errors import (
     EigenvalueCollisionError,
     InvalidInputError,
@@ -198,6 +199,52 @@ def test_pairing_vectors_reduce_sums_that_share_a_factor_with_the_scale():
     row = diagonal_row(form_combination(half, space), space)
     assert (list(row.numerators), row.denominator) == ([4, 4, 4], 1)
     assert PairingVector(2, (6, -4, 2)).scale(Fraction(1, 2)).denominator == 1
+
+
+def test_exact_coordinates_are_not_boxed_again(monkeypatch):
+    def boxed(value):
+        raise AssertionError(f"{value!r} went through as_rational")
+
+    monkeypatch.setattr(loop_matrix, "as_rational", boxed)
+    ints = PairingVector(3, list(range(-7, 8)))
+    fractions = PairingVector(3, [Fraction(i, 6) for i in range(15)])
+    assert ints.coords == tuple(range(-7, 8)) and ints.denominator == 1
+    assert fractions.coords == tuple(Fraction(i, 6) for i in range(15)) and fractions.denominator == 6
+    with pytest.raises(AssertionError, match="'1/2' went through"):
+        PairingVector(3, [1] * 14 + ["1/2"])
+
+
+def test_a_bool_or_a_fraction_subclass_coordinate_is_converted():
+    class Half(Fraction):
+        pass
+
+    v = PairingVector(2, (True, Half(1, 2), 0))
+    assert v.coords == (1, Fraction(1, 2), 0) and {type(a) for a in v.numerators} == {int}
+    assert (v.numerators, v.denominator) == ([2, 1, 0], 2)
+
+
+def test_a_pairing_vector_adds_only_a_pairing_vector_of_its_size():
+    v = PairingVector(2, (1, 2, 3))
+    for other in (3, Fraction(1, 2), (1, 2, 3), None):
+        with pytest.raises(TypeError):
+            v + other
+        with pytest.raises(TypeError):
+            other + v
+    with pytest.raises(InvalidInputError, match="mismatched pairing sizes"):
+        v + PairingVector(1, (1,))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 3), data=st.data())
+def test_pairing_vector_sums_are_exact_and_in_lowest_terms(n, data):
+    size = double_factorial_odd(n)
+    a, b = (
+        data.draw(st.lists(st.fractions(max_denominator=30), min_size=size, max_size=size))
+        for _ in "ab"
+    )
+    total = PairingVector(n, a) + PairingVector(n, b)
+    assert total.coords == tuple(x + y for x, y in zip(a, b))
+    assert in_lowest_terms(total) and total == PairingVector(n, total.coords)
 
 
 @pytest.mark.parametrize("n", [0, -1])

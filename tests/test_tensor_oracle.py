@@ -4,7 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from pathlib import Path
 
@@ -471,6 +471,56 @@ def test_form_combination_is_the_dense_sum(n, cell, data):
     assert form_combination(PairingVector(n, coords), space) == expected
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), cell=st.sampled_from(CELLS), data=st.data())
+def test_a_combination_is_stored_in_lowest_terms_and_reads_as_the_dense_sum(n, cell, data):
+    space = BilinearSpace(*cell)
+    size = len(enumerate_pairings(n))
+    coords = data.draw(st.lists(
+        st.fractions(min_value=-6, max_value=6, max_denominator=6), min_size=size, max_size=size
+    ))
+    t = form_combination(PairingVector(n, coords), space)
+    assert {type(a) for a in t.numerators} <= {int} and type(t.denominator) is int
+    assert t.denominator >= 1 and gcd(t.denominator, *t.numerators) == 1
+    # sum c_P * T_P over the dense form tensors, over the coordinates' common denominator
+    den = lcm(*(c.denominator for c in coords))
+    totals = [0] * space.dim ** (2 * n)
+    for c, form in zip(coords, all_form_tensors(n, space)):
+        scale = c.numerator * (den // c.denominator)
+        totals = [total + scale * x for total, x in zip(totals, form.coeffs)]
+    assert t.coeffs == tuple(Fraction(total, den) for total in totals)
+    # the values are ints over the denominator 1 and Fractions over any other
+    assert {type(v) for v in t.values} <= ({int} if t.denominator == 1 else {Fraction})
+    rebuilt = Tensor(n, space.dim, t.flats, t.values)
+    assert rebuilt == t and t == rebuilt and hash(rebuilt) == hash(t)
+
+
+@pytest.mark.parametrize(
+    "n, flavor, k", [(1, "orthogonal", 2), (2, "symplectic", 1), (2, "orthogonal", 3)]
+)
+def test_coefficient_reads_the_dense_view_at_every_index(n, flavor, k):
+    space = BilinearSpace(flavor, k)
+    coords = [Fraction(i - 2, 3) for i in range(len(enumerate_pairings(n)))]
+    for t in (*all_form_tensors(n, space), form_combination(PairingVector(n, coords), space)):
+        # itertools.product yields the indices in flat order (see slot_weights)
+        indices = itertools.product(range(space.dim), repeat=2 * n)
+        assert [t.coefficient(index) for index in indices] == list(t.coeffs)
+
+
+def test_coefficient_refuses_an_index_entry_that_is_not_an_int_in_range():
+    t = all_form_tensors(1, BilinearSpace("orthogonal", 2))[0]
+    assert t.coefficient((0, 0)) == t.coefficient((1, 1)) == 1 and t.coefficient((0, 1)) == 0
+    for index in ((0.0, 0.0), (True, True), (0.5, 0.5), (0, Fraction(1)), ("0", 0)):
+        with pytest.raises(InvalidInputError, match="index entry must be an integer"):
+            t.coefficient(index)
+    for index, entry in (((0, 2), 2), ((-1, 0), -1)):
+        with pytest.raises(InvalidInputError, match=f"index entry {entry} out of range 0..1"):
+            t.coefficient(index)
+    for index in ((0,), (0, 0, 0)):
+        with pytest.raises(InvalidInputError, match="index must have 2 slots"):
+            t.coefficient(index)
+
+
 def test_form_combination_drops_the_classes_whose_totals_vanish():
     space = BilinearSpace("symplectic", 3)
     union = _pairing_tensors(3, space)[2][0]
@@ -531,7 +581,8 @@ def test_equal_class_values_on_different_tables_are_different_tensors():
     assert Tensor(1, 2, (0,), (1,)) != Tensor(1, 2, (3,), (1,))
     # one class of value 1 on each of these tables: e1e1 + e2e2 against e1e1 + e2e2 + e3e3
     two, three = (all_form_tensors(1, BilinearSpace("orthogonal", k))[0] for k in (2, 3))
-    assert two.class_values == three.class_values and two != three
+    assert (two.numerators, two.denominator) == (three.numerators, three.denominator)
+    assert two != three
     sym = all_form_tensors(2, BilinearSpace("symplectic", 1))
     assert sym[0] != sym[1] and sym[0] == Tensor(2, 2, sym[0].flats, sym[0].values)
 
