@@ -69,9 +69,13 @@ def _table_lines(value, prefix):
 
 def _load_json(path, option):
     """Read a JSON input file with every number exact (1.5 is 3/2; NaN and
-    Infinity are refused), so no float is built; undecodable contents are
-    an input error naming the option that gave the file."""
-    with open(path) as fh:
+    Infinity are refused), so no float is built; a file that cannot be read
+    or decoded is an input error naming the option that gave it."""
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise InvalidInputError(f"{option}: {exc}") from exc
+    with fh:
         try:
             return json.load(fh, parse_float=Fraction, parse_constant=Fraction)
         except ValueError as exc:
@@ -94,7 +98,10 @@ def _cmd_pairings(args):
 
 
 def _cmd_loopmat(args):
-    x = parse_rational(args.x)
+    try:
+        x = parse_rational(args.x)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"--x: {exc}") from exc
     matrix = build_loop_matrix(args.n, x)
     out = {
         "n": args.n,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from types import MappingProxyType
 
 from . import linalg, read_bundled
@@ -35,11 +36,12 @@ def _rational_rows(name, what, rows) -> tuple[tuple[Fraction, ...], ...]:
         raise InvalidModelError(f"model {name}: {what} entries must be rationals: {exc}") from exc
 
 
-class CohRing(Frozen, derived=("duals",)):
+class CohRing(Frozen, derived=("duals", "divisor_rows")):
     """A finite model of a cohomology ring with Poincare pairing.
 
     The dual basis is fixed at construction: `duals[j]` is the class with
-    pair(delta_i, duals[j]) = kronecker(i, j).
+    pair(delta_i, duals[j]) = kronecker(i, j).  So is the divisor table: a curve
+    class meets basis class i in its dot product with `divisor_rows[i]` = I . L_i.
     """
 
     __slots__ = (
@@ -51,6 +53,7 @@ class CohRing(Frozen, derived=("duals",)):
         "intersection_matrix",
         "divisor_lattice",  # basis label -> curve-lattice vector, read-only
         "duals",
+        "divisor_rows",
     )
 
     def __init__(
@@ -84,6 +87,7 @@ class CohRing(Frozen, derived=("duals",)):
                 raise InvalidModelError(
                     f"model {name}: intersection matrix must be {r} x {r}, one entry per curve label"
                 )
+        rows = None
         if divisor_lattice is not None:
             vectors = _rational_rows(name, "divisor lattice", divisor_lattice.values())
             divisor_lattice = MappingProxyType(dict(zip(divisor_lattice, vectors)))
@@ -93,8 +97,16 @@ class CohRing(Frozen, derived=("duals",)):
                         f"model {name}: the divisor lattice must map basis labels to vectors "
                         f"of length {self.curve_rank}, got length {len(vec)} for {lab!r}"
                     )
+            if intersection_matrix is None:
+                raise InvalidModelError(f"model {name}: a divisor lattice needs an intersection matrix")
+            rows = tuple(
+                None if (vec := divisor_lattice.get(lab)) is None
+                else tuple(sum(map(mul, row, vec)) for row in intersection_matrix)
+                for lab in labels
+            )
         object.__setattr__(self, "intersection_matrix", intersection_matrix)
         object.__setattr__(self, "divisor_lattice", divisor_lattice)
+        object.__setattr__(self, "divisor_rows", rows)
         # one kernel of [G | -I] both proves G nonsingular and inverts it: its
         # basis vector with free part e_j is (G^-1 e_j, e_j)
         augmented = [
@@ -122,6 +134,8 @@ class CohRing(Frozen, derived=("duals",)):
         return max(self.degrees)
 
     def basis_vector(self, i: int) -> tuple[Fraction, ...]:
+        if integer_argument("basis index", i) not in range(self.size):
+            raise InvalidInputError(f"basis index {i} out of range 0..{self.size - 1}")
         return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.size))
 
     def class_coords(self, cls) -> tuple[Fraction, ...]:
@@ -145,8 +159,10 @@ class CohRing(Frozen, derived=("duals",)):
             )
         return coords
 
-    def degree_of(self, coords) -> int:
-        coords = self.class_coords(coords)
+    def degree_of(self, cls) -> int:
+        return self._degree(self.class_coords(cls))
+
+    def _degree(self, coords) -> int:
         degs = {self.degrees[i] for i, c in enumerate(coords) if c}
         if len(degs) != 1:
             raise InvalidInputError(f"class is not homogeneous: {coords}")
@@ -189,26 +205,6 @@ class CohRing(Frozen, derived=("duals",)):
             [lab if c == 1 else f"{c}{lab}" for c, lab in zip(curve, self.curve_labels) if c]
         )
 
-    def divisor_to_lattice(self, divisor) -> tuple[Fraction, ...]:
-        """Express a degree-2 class in curve-lattice coordinates."""
-        coords = self.class_coords(divisor)
-        if self.degree_of(coords) != 2:
-            raise InvalidInputError("divisor classes must have degree 2")
-        if self.divisor_lattice is None:
-            raise InvalidModelError(f"model {self.name} carries no divisor lattice data")
-        acc = [Fraction(0)] * self.curve_rank
-        for i, c in enumerate(coords):
-            if not c:
-                continue
-            vec = self.divisor_lattice.get(self.labels[i])
-            if vec is None:
-                raise InvalidModelError(
-                    f"model {self.name}: no lattice vector for divisor {self.labels[i]!r}"
-                )
-            for t, x in enumerate(vec):
-                acc[t] += c * x
-        return tuple(acc)
-
     def intersect(self, curve, divisor) -> Fraction:
         """Intersection number of a curve class with a degree-2 class."""
         try:
@@ -221,13 +217,18 @@ class CohRing(Frozen, derived=("duals",)):
             raise InvalidInputError(
                 f"curve class must have {self.curve_rank} coordinates in {self.name}"
             )
-        d = self.divisor_to_lattice(divisor)
-        return sum(
-            (a * self.intersection_matrix[i][j] * d[j]
-             for i, a in enumerate(curve) if a
-             for j in range(self.curve_rank) if d[j]),
-            Fraction(0),
-        )
+        coords = self.class_coords(divisor)
+        if self._degree(coords) != 2:
+            raise InvalidInputError("divisor classes must have degree 2")
+        if self.divisor_rows is None:
+            raise InvalidModelError(f"model {self.name} carries no divisor lattice data")
+        total = Fraction(0)
+        for lab, c, row in zip(self.labels, coords, self.divisor_rows):
+            if c:
+                if row is None:
+                    raise InvalidModelError(f"model {self.name}: no lattice vector for divisor {lab!r}")
+                total += c * sum(map(mul, curve, row))
+        return total
 
 
 @lru_cache(maxsize=None)
@@ -267,7 +268,7 @@ class Insertion(Frozen):
     __slots__ = ("coords", "psi")
 
     def __init__(self, coords, psi=0):
-        self._set(coords, psi)
+        self._set(coords, integer_argument("psi power", psi, 0))
 
 
 class InsertionList(Frozen):
@@ -276,7 +277,10 @@ class InsertionList(Frozen):
     __slots__ = ("genus", "curve_class", "insertions", "nodes")
 
     def __init__(self, genus, curve_class, insertions, nodes=0):
-        self._set(genus, curve_class, insertions, nodes)
+        integer_argument("genus", genus, 0)
+        for a in curve_class:
+            integer_argument("class entry", a)
+        self._set(genus, curve_class, insertions, integer_argument("node count", nodes, 0))
 
 
 def make_insertions(ring: CohRing, classes, psis=None) -> tuple[Insertion, ...]:
@@ -356,6 +360,10 @@ def kunneth_reorder_sign(degrees, sides) -> int:
     """
     if len(degrees) != len(sides):
         raise InvalidInputError("degrees and sides must align")
+    for d, side in zip(degrees, sides):
+        integer_argument("degree", d, 0)
+        if integer_argument("side", side) not in (1, 2):
+            raise InvalidInputError(f"side must be 1 or 2, got {side}")
     count = 0
     for i in range(len(degrees)):
         for j in range(i + 1, len(degrees)):

@@ -37,7 +37,7 @@ from .partitions import (
     hook_dimension,
 )
 from .rationals import (
-    as_rational, divided_by_gcd, integer_argument, over_common_denominator, rational_argument
+    as_rational, integer_argument, new_in_lowest_terms, over_common_denominator, rational_argument
 )
 
 ORTHOGONAL = "orthogonal"
@@ -104,17 +104,6 @@ class PairingVector(Frozen, fields=("n", "coords")):
             )
         self._set(n, *over_common_denominator(coords))
 
-    @classmethod
-    def _over(cls, n, numerators, denominator):
-        """numerators / denominator in lowest terms, for a checked n and denominator >= 1."""
-        *numerators, denominator = divided_by_gcd([*numerators, denominator])
-        v = cls.__new__(cls)
-        setattr_ = object.__setattr__
-        setattr_(v, "n", n)
-        setattr_(v, "numerators", numerators)
-        setattr_(v, "denominator", denominator)
-        return v
-
     @property
     def coords(self) -> tuple:
         return tuple(Fraction(a, self.denominator) for a in self.numerators)
@@ -126,12 +115,13 @@ class PairingVector(Frozen, fields=("n", "coords")):
             raise InvalidInputError("mismatched pairing sizes")
         d1, d2 = self.denominator, other.denominator
         numerators = [a * d2 + b * d1 for a, b in zip(self.numerators, other.numerators)]
-        return self._over(self.n, numerators, d1 * d2)
+        return new_in_lowest_terms(PairingVector, (self.n,), numerators, d1 * d2)
 
     def scale(self, c) -> "PairingVector":
         c = rational_argument("scale factor", c)
         numerators = [c.numerator * a for a in self.numerators]
-        return self._over(self.n, numerators, c.denominator * self.denominator)
+        denominator = c.denominator * self.denominator
+        return new_in_lowest_terms(PairingVector, (self.n,), numerators, denominator)
 
     def is_zero(self) -> bool:
         return not any(self.numerators)
@@ -374,7 +364,8 @@ def _buckets(v: PairingVector) -> tuple[list[list[int]], int]:
 
 def _apply(n: int, buckets, element) -> PairingVector:
     (rows, den), (coeffs, scale) = buckets, element
-    return PairingVector._over(n, [sum(map(mul, coeffs, b)) for b in rows], scale * den)
+    numerators = [sum(map(mul, coeffs, b)) for b in rows]
+    return new_in_lowest_terms(PairingVector, (n,), numerators, scale * den)
 
 
 @lru_cache(maxsize=None)

@@ -85,6 +85,7 @@ class Pairing(Frozen):
         return len(self.pairs)
 
     def partner(self, i: int) -> int:
+        integer_argument("pairing entry", i)
         for a, b in self.pairs:
             if a == i:
                 return b

@@ -78,12 +78,13 @@ class OracleTable(Frozen):
     __slots__ = ("entries",)
 
     def __init__(self, entries=None):
-        self._set({} if entries is None else entries)
+        self._set({
+            key: (rational_argument("value", value), provenance)
+            for key, (value, provenance) in ({} if entries is None else entries).items()
+        })
 
     def with_entry(self, key: str, value, provenance: str) -> "OracleTable":
-        new = dict(self.entries)
-        new[key] = (rational_argument("value", value), provenance)
-        return OracleTable(new)
+        return OracleTable({**self.entries, key: (value, provenance)})
 
     def keys(self):
         return self.entries.keys()

@@ -1,5 +1,6 @@
 """Exact rationals: the argument gates, parsing and formatting as "p/q"
-strings, one common denominator, and one division of integers by their gcd.
+strings, one common denominator, and one division of integers by their gcd,
+which `new_in_lowest_terms` applies to build every value kept over one denominator.
 
 All machine-readable output renders numbers this way so that no consumer
 ever sees a float.  `integer_argument` alone decides what an integer
@@ -63,6 +64,19 @@ def divided_by_gcd(ints: list[int]) -> list[int]:
     """The integers divided by their gcd: the list itself if that is 0 or 1."""
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
+
+
+def new_in_lowest_terms(cls, fields, numerators, denominator):
+    """A new `cls`, built without its `__init__` for a caller that has checked every
+    field and that denominator >= 1: its slots hold `fields`, then the numerators and
+    the denominator divided by their gcd.  The numerators stay a list, never changed:
+    CPython 3.11 never reuses a freed 20-item tuple (it keeps 2,000)."""
+    *numerators, denominator = divided_by_gcd([*numerators, denominator])
+    value = cls.__new__(cls)
+    setattr_ = object.__setattr__  # not `Frozen._set`: this runs a few times per roundtrip
+    for name, field in zip(cls.__slots__, (*fields, numerators, denominator)):
+        setattr_(value, name, field)
+    return value
 
 
 def format_rational(value) -> str:

@@ -42,6 +42,8 @@ class Leg(Frozen):
         if kind not in (INTERIOR, RELATIVE):
             raise InvalidInputError(f"unknown leg kind {kind!r}")
         integer_argument("leg vertex", vertex)
+        if marking.__class__ not in (int, str):
+            raise InvalidInputError(f"marking {marking!r} is not an integer or a string")
         if multiplicity is not None:
             integer_argument("multiplicity", multiplicity)
         if kind == RELATIVE and (multiplicity is None or multiplicity < 1):
@@ -104,8 +106,8 @@ class StableGraph(Frozen):
 
 def graph_from_json(raw: dict) -> StableGraph:
     """Build a graph from its JSON form; any malformed entry raises
-    InvalidInputError.  The constructors check the numbers; the markings
-    must be integers or strings, unique per leg kind."""
+    InvalidInputError.  The constructors check the numbers and that each
+    marking is an integer or a string; markings must be unique per leg kind."""
     try:
         vertices = tuple(Vertex(v["genus"], tuple(v["class"])) for v in raw["vertices"])
         edges = tuple((a, b) for a, b in raw.get("edges", []))
@@ -114,8 +116,6 @@ def graph_from_json(raw: dict) -> StableGraph:
             for l in raw.get("legs", [])
         )
         for i, l in enumerate(legs):
-            if type(l.marking) not in (int, str):
-                raise InvalidInputError(f"marking {l.marking!r} is not an integer or a string")
             if any((o.kind, o.marking) == (l.kind, l.marking) for o in legs[:i]):
                 raise InvalidInputError(f"two {l.kind} legs share the marking {l.marking!r}")
     except InvalidInputError:

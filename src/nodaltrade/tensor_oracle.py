@@ -28,7 +28,7 @@ from .frozen import Frozen
 from .loop_matrix import ORTHOGONAL, PairingVector, admissible_partitions, flavor_dimension
 from .pairings import Pairing, check_n, check_permutation, crossing_number, enumerate_pairings
 from .partitions import hook_dimension
-from .rationals import divided_by_gcd, integer_argument, over_common_denominator
+from .rationals import integer_argument, new_in_lowest_terms, over_common_denominator
 
 BRUTE_FORCE_MAX_N = 3
 BRUTE_FORCE_MAX_DIM = 6
@@ -104,20 +104,10 @@ class Tensor(Frozen, fields=("n", "dim", "flats", "values")):
 
     @classmethod
     def _over(cls, n, dim, table, numerators, denominator):
-        """numerators / denominator >= 1 in lowest terms on a checked table, in a list
-        never changed: CPython 3.11 never reuses a freed 20-item tuple (it keeps
-        2,000), and a cell with 20 classes would free two per roundtrip."""
+        """Int numerators / denominator >= 1 in lowest terms on a checked table."""
         if not set(map(type, numerators)) <= {int}:
             raise InvalidInputError("class numerators must be ints")
-        *numerators, denominator = divided_by_gcd([*numerators, denominator])
-        t = cls.__new__(cls)
-        setattr_ = object.__setattr__
-        setattr_(t, "n", n)
-        setattr_(t, "dim", dim)
-        setattr_(t, "table", table)
-        setattr_(t, "numerators", numerators)
-        setattr_(t, "denominator", denominator)
-        return t
+        return new_in_lowest_terms(cls, (n, dim, table), numerators, denominator)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__ and other.table is self.table:  # one table per (n, space)
@@ -356,7 +346,7 @@ def diagonal_row(t: Tensor, space: BilinearSpace) -> PairingVector:
     if t.table is not table:
         return PairingVector(t.n, [contract(t, d) for d in diags])
     numerators = t.numerators
-    return PairingVector._over(t.n, [
+    return new_in_lowest_terms(PairingVector, (t.n,), [
         sum(map(mul, weights, map(numerators.__getitem__, classes)))
         for classes, weights in diag_sparse
     ], t.denominator)

@@ -328,6 +328,30 @@ def test_error_lines_name_the_argument(capsys, tmp_path, argv, line):
     assert (code, out, err) == (2, "", line + "\n")
 
 
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (("loopmat", "--n", "2", "--x", "abc"),
+         "--x: malformed rational 'abc': Invalid literal for Fraction: 'abc'"),
+        (("loopmat", "--n", "2", "--x", "1/0"), "--x: malformed rational '1/0': "),
+        (("trade", "--n", "2", "--flavor", "orthogonal", "--k", "1", "--contractions", "missing"),
+         "--contractions: [Errno 2] "),
+        (("trade", "--n", "2", "--flavor", "orthogonal", "--k", "1", "--contractions", "."),
+         "--contractions: [Errno 21] "),
+        (("graphs", "--contract", "missing"), "--contract: [Errno 2] "),
+        (("graphs", "--contract", "."), "--contract: [Errno 21] "),
+    ],
+    ids=["x-malformed", "x-zero-denominator", "contractions-missing", "contractions-directory",
+         "contract-missing", "contract-directory"],
+)
+def test_refusals_name_their_option(capsys, tmp_path, monkeypatch, argv, prefix):
+    # a bad rational used to print no option, and an unreadable file a bare OSError line
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {prefix}") and err.count("\n") == 1
+
+
 def test_trade_n_0_is_named_before_the_vector_length(capsys, tmp_path):
     f = tmp_path / "three.json"
     f.write_text('["1", "2", "3"]')

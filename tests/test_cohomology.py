@@ -1,3 +1,4 @@
+import itertools
 import os
 import re
 import subprocess
@@ -222,6 +223,34 @@ def test_f1_lattice_numbers():
     assert ring.intersect((1, 0), "D0") == -1  # D0 . D0 = -1 follows
 
 
+def _lattice_intersection(ring, curve, coords):
+    """sum_i c_i sum_(a,j) curve_a I[a][j] L_i[j], straight from the model data."""
+    matrix, lattice = ring.intersection_matrix, ring.divisor_lattice
+    return sum(
+        c * curve[a] * matrix[a][j] * lattice[label][j]
+        for label, c in zip(ring.labels, coords) if c
+        for a in range(ring.curve_rank)
+        for j in range(ring.curve_rank)
+    )
+
+
+@pytest.mark.parametrize("name", ["p2", "f1"])
+def test_intersect_reads_the_divisor_table_as_the_lattice_gives_it(name):
+    ring = load_model(name)
+    middle = [i for i, d in enumerate(ring.degrees) if d == 2]
+    coefficients = (-2, -1, 0, Fraction(1, 2), 1, 3)
+    for combo in itertools.product(coefficients, repeat=len(middle)):
+        if not any(combo):
+            continue
+        coords = [Fraction(0)] * ring.size
+        for i, c in zip(middle, combo):
+            coords[i] = Fraction(c)
+        for curve in itertools.product(range(-2, 3), repeat=ring.curve_rank):
+            got = ring.intersect(curve, coords)
+            assert got.__class__ is Fraction
+            assert got == _lattice_intersection(ring, curve, coords)
+
+
 def test_split_node_counts_and_degrees():
     for name in ("p2", "f1", "elliptic", "point"):
         ring = load_model(name)
@@ -413,11 +442,30 @@ LATTICE_SHAPE = "model plane: the divisor lattice must map basis labels to vecto
         (dict(divisor_lattice={"H": (1, 0)}), LATTICE_SHAPE + "got length 2 for 'H'"),
         (dict(divisor_lattice={"D": (1,)}), LATTICE_SHAPE + "got length 1 for 'D'"),
         (dict(curve_labels=None), "model plane carries no curve-class lattice"),
+        (dict(intersection_matrix=None),
+         "model plane: a divisor lattice needs an intersection matrix"),
     ],
     ids=["float-matrix", "float-lattice", "unparseable-string", "wide-matrix", "tall-matrix",
-         "long-lattice-vector", "unknown-divisor", "no-curve-labels"],
+         "long-lattice-vector", "unknown-divisor", "no-curve-labels", "lattice-without-matrix"],
 )
 def test_curve_lattice_data_is_refused_naming_the_model(data, message):
     # a float used to pass through: intersect((2,), "H") gave 1.0 and 0.5
     with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
         plane(**data)
+
+
+def test_the_divisor_table_reads_an_empty_lattice_and_no_lattice():
+    # an empty lattice has no vector for any divisor, which a `lattice and ...`
+    # shortcut would read as the intersection 0
+    for data, message in (
+        (dict(divisor_lattice={}), "model plane: no lattice vector for divisor 'H'"),
+        (dict(divisor_lattice=None), "model plane carries no divisor lattice data"),
+    ):
+        ring = plane(**data)
+        with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
+            ring.intersect((2,), "H")
+    # the table is derived: out of the repr, the comparison and replace
+    ring = plane()
+    assert ring.divisor_rows == (None, (Fraction(1),), None)
+    assert "divisor_rows" not in repr(ring)
+    assert ring.replace(name="plane") == ring

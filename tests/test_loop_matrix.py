@@ -253,23 +253,6 @@ def test_pairing_vector_refuses_n_below_1(n):
         PairingVector(n, (1,))
 
 
-@pytest.mark.parametrize(
-    "call, n",
-    [
-        (lambda: PairingVector(1.0, (1,)), "1.0"),
-        (lambda: PairingVector(True, (1,)), "True"),
-        (lambda: build_loop_matrix(2.0, 2), "2.0"),
-        (lambda: build_loop_matrix(True, 2), "True"),
-    ],
-    ids=["vector-float", "vector-bool", "matrix-float", "matrix-bool"],
-)
-def test_pairing_vector_and_loop_matrix_refuse_a_non_int_n(call, n):
-    # the type table is cached by n, and 2.0 and True hash like 2 and 1
-    build_loop_matrix(1, 2), build_loop_matrix(2, 2)
-    with pytest.raises(InvalidInputError, match=f"n must be an integer, got {n}"):
-        call()
-
-
 def test_pairing_vector_refuses_floats():
     with pytest.raises(InvalidInputError, match="n=2 .*float 0.1"):
         PairingVector(2, (0.1, 0, 0))

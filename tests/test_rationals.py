@@ -11,8 +11,10 @@ import nodaltrade
 from nodaltrade.case_study import compute_lhs, elliptic_demo, parent_graph
 from nodaltrade.cohomology import (
     CohRing,
+    Insertion,
     InsertionList,
     divisor_reduce,
+    kunneth_reorder_sign,
     load_model,
     make_insertions,
     middle_diagonal_divisor_factor,
@@ -136,6 +138,31 @@ GATED = {
                       [(0.1, "u2 must be a rational: refusing the float 0.1")]),
     "OracleTable.with_entry": (lambda v: OracleTable().with_entry("k", v, "p"),
                                [(0.1, "value must be a rational: refusing the float 0.1")]),
+    "OracleTable": (lambda v: OracleTable({"a": (v, "x")}),
+                    [(0.5, "value must be a rational: refusing the float 0.5")]),
+    "InsertionList.genus": (lambda v: InsertionList(v, (1,), ()), _integer("genus", -1)),
+    "InsertionList.curve_class": (lambda v: InsertionList(0, (v,), ()),
+                                  [(3.5, "class entry must be an integer, got 3.5"),
+                                   *_integer("class entry")]),
+    "InsertionList.nodes": (lambda v: InsertionList(1, (1,), (), v), _integer("node count", -1)),
+    "Insertion.psi": (lambda v: Insertion((1,), v),
+                      [(0.5, "psi power must be an integer, got 0.5"), *_integer("psi power", -1)]),
+    "kunneth_reorder_sign.degrees": (lambda v: kunneth_reorder_sign((v, 1), (2, 1)),
+                                     _integer("degree", -1)),
+    "kunneth_reorder_sign.sides": (lambda v: kunneth_reorder_sign((1, 1), (v, 1)),
+                                   [(1.0, "side must be an integer, got 1.0"), *_integer("side"),
+                                    (3, "side must be 1 or 2, got 3"),
+                                    (0, "side must be 1 or 2, got 0")]),
+    "CohRing.basis_vector": (lambda v: load_model("p2").basis_vector(v),
+                             [(1.0, "basis index must be an integer, got 1.0"),
+                              *_integer("basis index"),
+                              (7, "basis index 7 out of range 0..2"),
+                              (-1, "basis index -1 out of range 0..2")]),
+    "Pairing.partner": (lambda v: Pairing(((1, 2),)).partner(v),
+                        [(1.0, "pairing entry must be an integer, got 1.0"),
+                         *_integer("pairing entry")]),
+    "Leg.marking": (lambda v: Leg(0, v),
+                    [(v, f"marking {v!r} is not an integer or a string") for v in (1.5, True)]),
 }
 
 
