@@ -50,14 +50,29 @@ from .stable_graphs import (
 )
 from .tensor_oracle import BilinearSpace
 
-CASE_IDS = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii")
-
 _CUBIC = (3,)
 _CONIC = (2,)
 _LINE = (1,)
 _D03F = (1, 3)
 _D02F = (1, 2)
 _FIBER = (0, 1)
+
+_SURFACES = {1: "f1", 2: "p2"}  # the side of the double locus -> its surface model
+
+# The eight splittings of the worked example, keyed by the sorted side-1
+# classes, the sorted contact multiplicities, and where the parent's edge
+# went: (side, "loop" or "bridge").
+_CASES = {
+    ((_D03F,), (1, 1), ((2, "bridge"),)): "i",
+    ((_FIBER, _D02F), (1, 1), ((1, "bridge"),)): "ii",
+    ((_D03F,), (2,), ((2, "loop"),)): "iii",
+    ((_D03F,), (2,), ((1, "loop"),)): "iv",
+    ((_D03F,), (1, 1), ((2, "loop"),)): "v",
+    ((_D03F,), (1, 1), ((1, "loop"),)): "vi",
+    ((_FIBER, _D02F), (1, 1), ((1, "loop"),)): "vii",
+    ((_FIBER, _D02F), (1, 1), ((2, "loop"),)): "viii",
+}
+CASE_IDS = tuple(_CASES.values())
 
 
 # -- scenario ---------------------------------------------------------------
@@ -115,10 +130,20 @@ def cubic_scenario() -> DegenerationScenario:
 
 def enumerate_cases() -> dict[str, Splitting]:
     """The eight degeneration splittings, keyed by their case id."""
-    splittings = enumerate_splittings(parent_graph(), cubic_scenario())
     cases: dict[str, Splitting] = {}
-    for s in splittings:
-        cid = _classify(s)
+    for s in enumerate_splittings(parent_graph(), cubic_scenario()):
+        placements = tuple(sorted(
+            (side, "loop" if a == b else "bridge")
+            for side, g in ((1, s.gamma1), (2, s.gamma2))
+            for a, b in g.edges
+        ))
+        cid = _CASES.get((
+            tuple(sorted(v.cls for v in s.gamma1.vertices)),
+            tuple(sorted(l.multiplicity for l in s.gamma1.relative_legs())),
+            placements,
+        ))
+        if cid is None:
+            raise VerificationError(f"unrecognized splitting shape: {s.signature}")
         if cid in cases:
             raise VerificationError(f"two splittings classify as case {cid}")
         cases[cid] = s
@@ -128,74 +153,21 @@ def enumerate_cases() -> dict[str, Splitting]:
     return {cid: cases[cid] for cid in CASE_IDS}
 
 
-def _classify(s: Splitting) -> str:
-    c1 = tuple(sorted(v.cls for v in s.gamma1.vertices))
-    loops1 = any(a == b for a, b in s.gamma1.edges)
-    bridges1 = any(a != b for a, b in s.gamma1.edges)
-    loops2 = any(a == b for a, b in s.gamma2.edges)
-    bridges2 = any(a != b for a, b in s.gamma2.edges)
-    mults = sorted(l.multiplicity for l in s.gamma1.relative_legs())
-    if c1 == (_D03F,):
-        if mults == [2]:
-            return "iii" if loops2 else "iv"
-        if bridges2:
-            return "i"
-        if loops2:
-            return "v"
-        if loops1:
-            return "vi"
-    elif c1 == (_FIBER, _D02F):
-        if bridges1:
-            return "ii"
-        if loops1:
-            return "vii"
-        if loops2:
-            return "viii"
-    raise VerificationError(f"unrecognized splitting shape: {s.signature}")
-
-
 # -- relative-invariant oracle ---------------------------------------------
 
 
-def _strip_loops(graph: StableGraph):
-    loops = [a for a, b in graph.edges if a == b]
-    kept = tuple((a, b) for a, b in graph.edges if a != b)
-    return StableGraph(graph.vertices, kept, graph.legs), loops
-
-
-def _base_key(side: int, graph: StableGraph, boundary) -> tuple:
-    classes = tuple(sorted(v.cls for v in graph.vertices))
-    bridges = tuple(
-        sorted(
-            tuple(sorted((graph.vertices[a].cls, graph.vertices[b].cls)))
-            for a, b in graph.edges
-            if a != b
-        )
-    )
-    rel = sorted(graph.relative_legs(), key=lambda l: l.marking)
-    if len(rel) != len(boundary):
-        raise InvalidInputError("boundary tuple does not match the relative legs")
-    contacts = tuple(
-        sorted(
-            (graph.vertices[l.vertex].cls, l.multiplicity, b)
-            for l, b in zip(rel, boundary)
-        )
-    )
-    pts = len(graph.interior_legs())
-    return (side, classes, bridges, contacts, pts)
-
-
-def _describe_key(key) -> str:
-    side, classes, bridges, contacts, pts = key
-    surface = {1: "f1", 2: "p2"}[side]
-    cls = "+".join(str(c) for c in classes)
-    contact_text = ";".join(f"{c}:m{m}:{b}" for c, m, b in contacts)
-    joined = f"|joined={len(bridges)}" if bridges else ""
-    return f"{surface}|{cls}|pts={pts}|contacts[{contact_text}]{joined}"
+def _count_key(side: int, classes, bridges: int, contacts, points: int) -> str:
+    """The text that keys a base count, and that the report records: the
+    surface, the sorted vertex classes, the point count, the sorted
+    (class, multiplicity, boundary) contacts and the number of bridges."""
+    cls = "+".join(str(c) for c in sorted(classes))
+    contact_text = ";".join(f"{c}:m{m}:{b}" for c, m, b in sorted(contacts))
+    joined = f"|joined={bridges}" if bridges else ""
+    return f"{_SURFACES[side]}|{cls}|pts={points}|contacts[{contact_text}]{joined}"
 
 
 def _base_count_table(table: OracleTable | None) -> dict:
-    """Canonical-key base counts for the bundled scenario.
+    """Base counts for the bundled scenario, keyed by `_count_key`.
 
     Nonzero entries come from the bundled table or the pencil counts; the
     zero entries record boundary patterns whose point constraints leave a
@@ -204,12 +176,9 @@ def _base_count_table(table: OracleTable | None) -> dict:
     """
     entries: dict = {}
 
-    def put(side, classes, bridges, contact_list, pts, value, provenance):
-        key = (side, classes, tuple(sorted(bridges)), tuple(sorted(contact_list)), pts)
-        entries[key] = (Fraction(value), provenance)
-
-    def tabled(key):
-        return lookup_with_provenance(key, table)
+    def put(side, classes, bridges, contacts, value, provenance):
+        # every side of the bundled scenario carries four of the eight points
+        entries[_count_key(side, classes, bridges, contacts, 4)] = (Fraction(value), provenance)
 
     zero_note = (
         "boundary pattern leaves a contact unconstrained or pins too many "
@@ -217,56 +186,26 @@ def _base_count_table(table: OracleTable | None) -> dict:
     )
 
     # full F1 class, two transverse contacts
-    v, p = tabled("f1.D0+3F.6pts")
-    put(1, (_D03F,), (), [(_D03F, 1, "pt"), (_D03F, 1, "pt")], 4, v, p)
-    for bnd in (("1", "1"), ("1", "pt"), ("pt", "1")):
-        put(
-            1,
-            (_D03F,),
-            (),
-            [(_D03F, 1, bnd[0]), (_D03F, 1, bnd[1])],
-            4,
-            0,
-            zero_note,
-        )
+    v, p = lookup_with_provenance("f1.D0+3F.6pts", table)
+    put(1, [_D03F], 0, [(_D03F, 1, "pt"), (_D03F, 1, "pt")], v, p)
+    for b1, b2 in (("1", "1"), ("1", "pt")):
+        put(1, [_D03F], 0, [(_D03F, 1, b1), (_D03F, 1, b2)], 0, zero_note)
 
     # full F1 class, one tangency contact
-    v, p = tabled("f1.D0+3F.4pts.tangentD0.fixedpt")
-    put(1, (_D03F,), (), [(_D03F, 2, "pt")], 4, v, p)
-    put(1, (_D03F,), (), [(_D03F, 2, "1")], 4, 0, zero_note)
+    v, p = lookup_with_provenance("f1.D0+3F.4pts.tangentD0.fixedpt", table)
+    put(1, [_D03F], 0, [(_D03F, 2, "pt")], v, p)
+    put(1, [_D03F], 0, [(_D03F, 2, "1")], 0, zero_note)
 
-    # reducible F1 side, with or without the connecting node
-    vi, pi = tabled("f1.reducible.fiber_through_interior")
-    vb, pb = tabled("f1.reducible.fiber_through_boundary")
-    for bridges in ((), ((_FIBER, _D02F),)):
-        put(
-            1,
-            (_FIBER, _D02F),
-            bridges,
-            [(_D02F, 1, "pt"), (_FIBER, 1, "1")],
-            4,
-            vi,
-            pi,
-        )
-        put(
-            1,
-            (_FIBER, _D02F),
-            bridges,
-            [(_D02F, 1, "1"), (_FIBER, 1, "pt")],
-            4,
-            vb,
-            pb,
-        )
-        for bnd in (("1", "1"), ("pt", "pt")):
-            put(
-                1,
-                (_FIBER, _D02F),
-                bridges,
-                [(_D02F, 1, bnd[0]), (_FIBER, 1, bnd[1])],
-                4,
-                0,
-                zero_note,
-            )
+    # reducible F1 side, with or without the connecting node: the boundary
+    # classes at the section-part and at the fiber
+    vi, pi = lookup_with_provenance("f1.reducible.fiber_through_interior", table)
+    vb, pb = lookup_with_provenance("f1.reducible.fiber_through_boundary", table)
+    reducible = (("pt", "1", vi, pi), ("1", "pt", vb, pb),
+                 ("1", "1", 0, zero_note), ("pt", "pt", 0, zero_note))
+    for bridges in (0, 1):
+        for b_section, b_fiber, value, provenance in reducible:
+            contacts = [(_D02F, 1, b_section), (_FIBER, 1, b_fiber)]
+            put(1, [_FIBER, _D02F], bridges, contacts, value, provenance)
 
     # plane side: pairs of lines, with or without the connecting node
     pairs = pencil_reducible_count(3, 4)
@@ -274,24 +213,16 @@ def _base_count_table(table: OracleTable | None) -> dict:
         "reducible members of the conic pencil through 4 points, via the "
         "Euler characteristic of the blown-up pencil surface"
     )
-    for bridges in ((), ((_LINE, _LINE),)):
-        put(
-            2,
-            (_LINE, _LINE),
-            bridges,
-            [(_LINE, 1, "1"), (_LINE, 1, "1")],
-            4,
-            pairs,
-            pair_note,
-        )
+    for bridges in (0, 1):
+        put(2, [_LINE, _LINE], bridges, [(_LINE, 1, "1"), (_LINE, 1, "1")], pairs, pair_note)
 
     # plane side: a conic with one tangency contact
-    v, p = tabled("p2.conic.4pts.tangentL")
-    put(2, (_CONIC,), (), [(_CONIC, 2, "1")], 4, v, p)
+    v, p = lookup_with_provenance("p2.conic.4pts.tangentL", table)
+    put(2, [_CONIC], 0, [(_CONIC, 2, "1")], v, p)
 
     # plane side: a conic with two transverse contacts, one matched point
-    v, p = tabled("p2.conic.5pts")
-    put(2, (_CONIC,), (), [(_CONIC, 1, "1"), (_CONIC, 1, "pt")], 4, v, p)
+    v, p = lookup_with_provenance("p2.conic.5pts", table)
+    put(2, [_CONIC], 0, [(_CONIC, 1, "1"), (_CONIC, 1, "pt")], v, p)
 
     # sanity: the two reducible-fiber entries refine the pencil count
     if vi + vb != pencil_reducible_count(4, 5):
@@ -304,11 +235,11 @@ def _base_count_table(table: OracleTable | None) -> dict:
 
 
 def _make_rel_oracle(table: OracleTable | None, recorder: list):
-    rings = {1: load_model("f1"), 2: load_model("p2")}
+    rings = {side: load_model(name) for side, name in _SURFACES.items()}
     base = _base_count_table(table)
 
     def oracle(side: int, graph: StableGraph, boundary) -> Fraction:
-        stripped, loop_vertices = _strip_loops(graph)
+        loop_vertices = [a for a, b in graph.edges if a == b]
         if len(loop_vertices) > 1:
             raise UnsupportedCaseError("at most one imposed node per side is bundled")
         ring = rings[side]
@@ -329,15 +260,24 @@ def _make_rel_oracle(table: OracleTable | None, recorder: list):
                     ),
                 }
             )
-        key = _base_key(side, stripped, boundary)
+        rel = sorted(graph.relative_legs(), key=lambda l: l.marking)
+        if len(rel) != len(boundary):
+            raise InvalidInputError("boundary tuple does not match the relative legs")
+        key = _count_key(
+            side,
+            [v.cls for v in graph.vertices],
+            len(graph.edges) - len(loop_vertices),
+            [(graph.vertices[l.vertex].cls, l.multiplicity, b) for l, b in zip(rel, boundary)],
+            len(graph.interior_legs()),
+        )
         entry = base.get(key)
         if entry is None:
-            raise MissingDataError(_describe_key(key))
+            raise MissingDataError(key)
         value, provenance = entry
         recorder.append(
             {
                 "side": side,
-                "key": _describe_key(key),
+                "key": key,
                 "base_count": value,
                 "provenance": provenance,
                 "node_split": notes,

@@ -211,3 +211,26 @@ def test_report_enumerates_once_and_builds_one_oracle(monkeypatch):
         monkeypatch.setattr(case_study, name, counted)
     assert compute_rhs_total().agreement
     assert calls == {"enumerate_splittings": 1, "_make_rel_oracle": 1}
+
+
+def test_a_shape_outside_the_case_table_is_refused(monkeypatch):
+    from nodaltrade import case_study
+    from nodaltrade.errors import VerificationError
+
+    # case (iv), the tangency with the loop on the F1 side, is taken out of the table
+    monkeypatch.delitem(case_study._CASES, (((1, 3),), (2,), ((1, "loop"),)))
+    with pytest.raises(VerificationError, match="^unrecognized splitting shape: side1"):
+        enumerate_cases()
+
+
+def test_every_recorded_key_is_a_key_of_the_base_count_table():
+    from nodaltrade.case_study import _base_count_table
+
+    keys = set(_base_count_table(None))
+    recorded = [
+        call["key"]
+        for breakdown in compute_rhs_total().breakdowns.values()
+        for call in breakdown["oracle_calls"]
+    ]
+    assert len(recorded) > 8 and set(recorded) <= keys
+    assert "f1|(0, 1)+(1, 2)|pts=4|contacts[(0, 1):m1:1;(1, 2):m1:pt]|joined=1" in recorded

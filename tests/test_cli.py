@@ -497,3 +497,36 @@ def test_verification_failure_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "appendix")
     assert code == 1
     assert "verification failure" in err
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("appendix", "--case", "i"),
+         "71f6421088eef0a72e6263aec254ebebbd49e1cc40bb34cd92a722b6d4d93a82"),
+        (("appendix", "--case", "ii"),
+         "2291faae3310c8de6628837cbcc1798f973c1270c080b1f878b5bf34634004d9"),
+        (("appendix", "--case", "iii"),
+         "e84055403ed47549b4e714918fabdb557e60dcc4c74e1d8f007e35e229e9876e"),
+        (("appendix", "--case", "iv"),
+         "851aeb639593e765f8e05bc84e9a73edde21a7c42fab8710fe6d523bfa97aa29"),
+        (("appendix", "--case", "v"),
+         "0eb89bacc5fdd8194faa77e79d407799656d13aa25f97ee9da35ef8e86f27f8b"),
+        (("appendix", "--case", "vi"),
+         "5c3398c4ad0aa4e5084e3d33008e676fb4d2a21bb08ada1219d176490bae278a"),
+        (("appendix", "--case", "vii"),
+         "404a78252cd9cc9667909918db478d191b07059e7a66aa10b6eb460d593f44c8"),
+        (("appendix", "--case", "viii"),
+         "0e36b438d2b098c14a711f0660ba5799dc9f4cff436056f74b70309347c57d18"),
+        (("graphs", "--split", "p2-f1-cubic"),
+         "6d9f81e4010fad3c5b7c1d521a26f519fc5cb145c3580771b77e37a3c49a0f8b"),
+    ],
+    ids=["case-i", "case-ii", "case-iii", "case-iv", "case-v", "case-vi", "case-vii", "case-viii",
+         "split"],
+)
+def test_case_reports_are_pinned(capsys, argv, digest):
+    # sha256 of each report as printed when the cases were named by nested
+    # conditions and each base-count key was a tuple with a separate text form
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
