@@ -200,8 +200,8 @@ def _cmd_graphs(args):
             raise InvalidInputError(f"--contract: {exc}") from exc
         return {"contracted": contracted}
     if args.split != "p2-f1-cubic":
-        raise NodalTradeError(
-            f"unknown split scenario {args.split!r}; bundled: p2-f1-cubic"
+        raise InvalidInputError(
+            f"--split: unknown split scenario {args.split!r}; bundled: p2-f1-cubic"
         )
     splittings = enumerate_splittings(
         case_study.parent_graph(), case_study.cubic_scenario()
@@ -260,7 +260,10 @@ def _cmd_appendix(args):
 
 
 def _cmd_models(args):
-    ring = load_model(args.name)
+    try:
+        ring = load_model(args.name)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"--name: {exc}") from exc
     return {
         "name": ring.name,
         "basis": [

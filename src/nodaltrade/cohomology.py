@@ -18,7 +18,7 @@ from types import MappingProxyType
 from . import linalg, read_bundled
 from .errors import InvalidInputError, InvalidModelError, UnsupportedCaseError
 from .frozen import Frozen
-from .rationals import as_rational, format_rational, integer_argument
+from .rationals import as_rational, format_rational, integer_argument, integer_sequence
 
 
 def _join_terms(terms) -> str:
@@ -67,13 +67,13 @@ class CohRing(Frozen, derived=("duals", "divisor_rows")):
         divisor_lattice=None,
     ):
         size = len(labels)
+        degrees = integer_sequence("degrees", degrees, "degree", 0)
         if len(degrees) != size or len(pairing) != size:
             raise InvalidModelError(f"model {name}: inconsistent basis data")
         if any(len(row) != size for row in pairing):
             raise InvalidModelError(
                 f"model {name}: pairing must be {size} x {size}, one entry per basis label"
             )
-        degrees = tuple(integer_argument("degree", d, 0) for d in degrees)
         pairing = _rational_rows(name, "pairing", pairing)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "labels", labels)
@@ -207,12 +207,7 @@ class CohRing(Frozen, derived=("duals", "divisor_rows")):
 
     def intersect(self, curve, divisor) -> Fraction:
         """Intersection number of a curve class with a degree-2 class."""
-        try:
-            curve = [integer_argument("class entry", a) for a in curve]
-        except TypeError as exc:
-            raise InvalidInputError(
-                f"curve class must be a sequence of integers in {self.name}, got {curve!r}"
-            ) from exc
+        curve = integer_sequence("curve class", curve, "class entry", within=self.name)
         if len(curve) != self.curve_rank:
             raise InvalidInputError(
                 f"curve class must have {self.curve_rank} coordinates in {self.name}"
@@ -278,8 +273,7 @@ class InsertionList(Frozen):
 
     def __init__(self, genus, curve_class, insertions, nodes=0):
         integer_argument("genus", genus, 0)
-        for a in curve_class:
-            integer_argument("class entry", a)
+        curve_class = integer_sequence("curve class", curve_class, "class entry")
         self._set(genus, curve_class, insertions, integer_argument("node count", nodes, 0))
 
 
@@ -358,11 +352,12 @@ def kunneth_reorder_sign(degrees, sides) -> int:
     Only odd-degree classes anticommute: the sign is (-1)^count where
     count is the number of odd-class pairs that swap past each other.
     """
+    degrees = integer_sequence("degrees", degrees, "degree", 0)
+    sides = integer_sequence("sides", sides, "side")
     if len(degrees) != len(sides):
         raise InvalidInputError("degrees and sides must align")
-    for d, side in zip(degrees, sides):
-        integer_argument("degree", d, 0)
-        if integer_argument("side", side) not in (1, 2):
+    for side in sides:
+        if side not in (1, 2):
             raise InvalidInputError(f"side must be 1 or 2, got {side}")
     count = 0
     for i in range(len(degrees)):

@@ -14,7 +14,7 @@ from math import prod
 
 from .errors import InvalidInputError, ResourceLimitError
 from .frozen import Frozen
-from .rationals import integer_argument
+from .rationals import integer_argument, integer_sequence
 
 DEFAULT_MAX_N = 5
 _ENV_MAX_N = "NODAL_TRADE_MAX_N"
@@ -225,7 +225,7 @@ def permutation_sign(g: tuple[int, ...]) -> int:
 
 def check_permutation(g, size: int) -> tuple[int, ...]:
     """Validate that g is a bijection on {1..size}; return it as a tuple."""
-    g = tuple(integer_argument("permutation entry", x) for x in g)
+    g = integer_sequence("permutation", g, "permutation entry")
     if sorted(g) != list(range(1, size + 1)):
         raise InvalidInputError(f"not a bijection on 1..{size}: {g}")
     return g

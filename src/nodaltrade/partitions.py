@@ -12,7 +12,7 @@ from math import factorial
 
 from .errors import InvalidInputError
 from .frozen import Frozen
-from .rationals import integer_argument, rational_argument
+from .rationals import integer_argument, integer_sequence, rational_argument
 
 
 class Partition(Frozen):
@@ -24,7 +24,7 @@ class Partition(Frozen):
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        parts = tuple(integer_argument("partition part", p, 1) for p in parts)
+        parts = integer_sequence("parts", parts, "partition part", 1)
         if any(a < b for a, b in zip(parts, parts[1:])):
             raise InvalidInputError(f"parts must be weakly decreasing: {parts}")
         object.__setattr__(self, "parts", parts)

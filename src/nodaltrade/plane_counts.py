@@ -8,12 +8,13 @@ at this scale ship in data/counts.json, each entry with a provenance note.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from . import read_bundled
-from .errors import InvalidModelError, MissingDataError, ResourceLimitError
+from .errors import InvalidInputError, InvalidModelError, MissingDataError, ResourceLimitError
 from .frozen import Frozen
 from .rationals import integer_argument, parse_rational, rational_argument
 
@@ -78,10 +79,19 @@ class OracleTable(Frozen):
     __slots__ = ("entries",)
 
     def __init__(self, entries=None):
-        self._set({
-            key: (rational_argument("value", value), provenance)
-            for key, (value, provenance) in ({} if entries is None else entries).items()
-        })
+        entries = {} if entries is None else entries
+        if not isinstance(entries, Mapping):
+            raise InvalidInputError(
+                f"entries must map keys to (value, provenance) pairs, got {entries!r}"
+            )
+        checked = {}
+        for key, entry in entries.items():
+            if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+                raise InvalidInputError(
+                    f"entry {key!r} must be a (value, provenance) pair, got {entry!r}"
+                )
+            checked[key] = (rational_argument("value", entry[0]), entry[1])
+        self._set(checked)
 
     def with_entry(self, key: str, value, provenance: str) -> "OracleTable":
         return OracleTable({**self.entries, key: (value, provenance)})

@@ -4,7 +4,8 @@ which `new_in_lowest_terms` applies to build every value kept over one denominat
 
 All machine-readable output renders numbers this way so that no consumer
 ever sees a float.  `integer_argument` alone decides what an integer
-argument is, and `rational_argument` what a rational argument is.
+argument is, `integer_sequence` what a sequence of them is, and
+`rational_argument` what a rational argument is.
 """
 
 from fractions import Fraction
@@ -48,6 +49,22 @@ def integer_argument(name: str, value, minimum=None) -> int:
     if minimum is not None and value < minimum:
         raise InvalidInputError(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def integer_sequence(name: str, values, entry: str, minimum=None, within=None) -> tuple:
+    """A sequence argument as a tuple whose every entry passes `integer_argument`
+    under the name `entry`; a value that cannot be iterated is an input error
+    naming the argument (and the model it is read `within`, if one is given)."""
+    try:
+        values = tuple(values)
+    except TypeError as exc:
+        where = f" in {within}" if within else ""
+        raise InvalidInputError(
+            f"{name} must be a sequence of integers{where}, got {values!r}"
+        ) from exc
+    for value in values:
+        integer_argument(entry, value, minimum)
+    return values
 
 
 def over_common_denominator(values) -> tuple[list[int], int]:

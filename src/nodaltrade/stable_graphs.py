@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import InvalidInputError, ResourceLimitError
 from .cohomology import kunneth_diagonal, kunneth_reorder_sign
 from .frozen import Frozen
-from .rationals import integer_argument
+from .rationals import integer_argument, integer_sequence
 
 INTERIOR = "interior"
 RELATIVE = "relative"
@@ -29,10 +29,8 @@ class Vertex(Frozen):
 
     def __init__(self, genus, cls):
         integer_argument("genus", genus, 0)
-        for c in cls:
-            integer_argument("class entry", c)
         object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "cls", integer_sequence("curve class", cls, "class entry"))
 
 
 class Leg(Frozen):
@@ -477,10 +475,12 @@ def degeneration_rhs(
     labels = [
         (ring_d.label_of(delta), ring_d.label_of(dual)) for delta, dual in pairs
     ]
-    if leg_degrees is not None and leg_sides is not None:
-        sign = kunneth_reorder_sign(leg_degrees, leg_sides)
-    else:
-        sign = 1
+    if (leg_degrees is None) != (leg_sides is None):
+        missing = "leg_sides" if leg_sides is None else "leg_degrees"
+        raise InvalidInputError(
+            f"the reordering sign needs leg_degrees and leg_sides: {missing} is missing"
+        )
+    sign = 1 if leg_degrees is None else kunneth_reorder_sign(leg_degrees, leg_sides)
     total = Fraction(0)
     for s in splittings:
         contribution = Fraction(0)

@@ -340,9 +340,13 @@ def test_error_lines_name_the_argument(capsys, tmp_path, argv, line):
          "--contractions: [Errno 21] "),
         (("graphs", "--contract", "missing"), "--contract: [Errno 2] "),
         (("graphs", "--contract", "."), "--contract: [Errno 21] "),
+        (("graphs", "--split", "bogus"),
+         "--split: unknown split scenario 'bogus'; bundled: p2-f1-cubic"),
+        (("models", "--name", "bogus"),
+         "--name: unknown model 'bogus'; bundled: ['elliptic', 'f1', 'p1', 'p2', 'point']"),
     ],
     ids=["x-malformed", "x-zero-denominator", "contractions-missing", "contractions-directory",
-         "contract-missing", "contract-directory"],
+         "contract-missing", "contract-directory", "split-unknown", "name-unknown"],
 )
 def test_refusals_name_their_option(capsys, tmp_path, monkeypatch, argv, prefix):
     # a bad rational used to print no option, and an unreadable file a bare OSError line

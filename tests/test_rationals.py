@@ -163,6 +163,26 @@ GATED = {
                          *_integer("pairing entry")]),
     "Leg.marking": (lambda v: Leg(0, v),
                     [(v, f"marking {v!r} is not an integer or a string") for v in (1.5, True)]),
+    "Vertex.cls.sequence": (lambda v: Vertex(0, v),
+                            [(5, "curve class must be a sequence of integers, got 5")]),
+    "InsertionList.curve_class.sequence": (
+        lambda v: InsertionList(0, v, ()), [(5, "curve class must be a sequence of integers, got 5")]),
+    "Partition.sequence": (Partition, [(5, "parts must be a sequence of integers, got 5")]),
+    "kunneth_reorder_sign.degrees.sequence": (
+        lambda v: kunneth_reorder_sign(v, (1,)), [(5, "degrees must be a sequence of integers, got 5")]),
+    "kunneth_reorder_sign.sides.sequence": (
+        lambda v: kunneth_reorder_sign((1,), v), [(5, "sides must be a sequence of integers, got 5")]),
+    "act_permutation.sequence": (
+        lambda v: act_permutation(v, Pairing(((1, 2),))),
+        [(5, "permutation must be a sequence of integers, got 5")]),
+    "CohRing.degrees.sequence": (
+        lambda v: CohRing("model", ("1",), v, ((1,),)),
+        [(5, "degrees must be a sequence of integers, got 5")]),
+    "OracleTable.entry": (lambda v: OracleTable({"a": v}),
+                          [(5, "entry 'a' must be a (value, provenance) pair, got 5"),
+                           ((1, "x", "y"), "entry 'a' must be a (value, provenance) pair, got (1, 'x', 'y')")]),
+    "OracleTable.entries": (OracleTable,
+                            [(5, "entries must map keys to (value, provenance) pairs, got 5")]),
 }
 
 

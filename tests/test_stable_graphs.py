@@ -384,3 +384,22 @@ def test_degeneration_rhs_sign_from_odd_legs():
     assert degeneration_rhs(
         [s], unit_oracle, point, leg_degrees=(1, 1, 2), leg_sides=(2, 1, 1)
     ) == -1
+
+
+def test_degeneration_rhs_refuses_half_of_the_sign_data():
+    # half of the pair used to drop the sign silently: case (i) reads -1 with both
+    from nodaltrade.case_study import enumerate_cases
+
+    point = load_model("point")
+    s = enumerate_cases()["i"]
+
+    def unit_oracle(side, graph, boundary):
+        return Fraction(1)
+
+    degrees, sides = (1, 1, 2, 4, 4, 4, 4, 4), (2, 1, 1, 1, 1, 2, 2, 2)
+    assert degeneration_rhs([s], unit_oracle, point, leg_degrees=degrees, leg_sides=sides) == -1
+    assert degeneration_rhs([s], unit_oracle, point) == 1
+    for given, missing in (({"leg_degrees": degrees}, "leg_sides"),
+                           ({"leg_sides": sides}, "leg_degrees")):
+        with pytest.raises(InvalidInputError, match=f"{missing} is missing$"):
+            degeneration_rhs([s], unit_oracle, point, **given)
