@@ -132,16 +132,16 @@ def enumerate_cases() -> dict[str, Splitting]:
     """The eight degeneration splittings, keyed by their case id."""
     cases: dict[str, Splitting] = {}
     for s in enumerate_splittings(parent_graph(), cubic_scenario()):
-        placements = tuple(sorted(
-            (side, "loop" if a == b else "bridge")
-            for side, g in ((1, s.gamma1), (2, s.gamma2))
-            for a, b in g.edges
-        ))
-        cid = _CASES.get((
+        shape = (
             tuple(sorted(v.cls for v in s.gamma1.vertices)),
             tuple(sorted(l.multiplicity for l in s.gamma1.relative_legs())),
-            placements,
-        ))
+            tuple(sorted(
+                (side, "loop" if a == b else "bridge")
+                for side, g in ((1, s.gamma1), (2, s.gamma2))
+                for a, b in g.edges
+            )),
+        )
+        cid = _CASES.get(shape)
         if cid is None:
             raise VerificationError(f"unrecognized splitting shape: {s.signature}")
         if cid in cases:
