@@ -59,9 +59,9 @@ _FIBER = (0, 1)
 
 _SURFACES = {1: "f1", 2: "p2"}  # the side of the double locus -> its surface model
 
-# The eight splittings of the worked example, keyed by the sorted side-1
-# classes, the sorted contact multiplicities, and where the parent's edge
-# went: (side, "loop" or "bridge").
+# The eight splittings of the worked example, keyed by the shape each
+# splitting records: the sorted side-1 classes, the sorted contact
+# multiplicities, and where the parent's edge went: (side, "loop" or "bridge").
 _CASES = {
     ((_D03F,), (1, 1), ((2, "bridge"),)): "i",
     ((_FIBER, _D02F), (1, 1), ((1, "bridge"),)): "ii",
@@ -73,6 +73,7 @@ _CASES = {
     ((_FIBER, _D02F), (1, 1), ((2, "loop"),)): "viii",
 }
 CASE_IDS = tuple(_CASES.values())
+_LEG_DEGREES = dict.fromkeys(range(1, 9), 4)  # the eight point insertions: real degree 4
 
 
 # -- scenario ---------------------------------------------------------------
@@ -119,7 +120,6 @@ def _cubic_options(parent_class):
 def cubic_scenario() -> DegenerationScenario:
     """Plane degenerating to plane union F1 along a line; points split 4/4."""
     return DegenerationScenario(
-        name="p2-to-p2-cup-f1",
         options=_cubic_options,
         # F1 classes push forward by their fiber degree: a*D0 + b*F -> a
         push1=lambda c: (c[0],),
@@ -132,16 +132,7 @@ def enumerate_cases() -> dict[str, Splitting]:
     """The eight degeneration splittings, keyed by their case id."""
     cases: dict[str, Splitting] = {}
     for s in enumerate_splittings(parent_graph(), cubic_scenario()):
-        shape = (
-            tuple(sorted(v.cls for v in s.gamma1.vertices)),
-            tuple(sorted(l.multiplicity for l in s.gamma1.relative_legs())),
-            tuple(sorted(
-                (side, "loop" if a == b else "bridge")
-                for side, g in ((1, s.gamma1), (2, s.gamma2))
-                for a, b in g.edges
-            )),
-        )
-        cid = _CASES.get(shape)
+        cid = _CASES.get(s.shape)
         if cid is None:
             raise VerificationError(f"unrecognized splitting shape: {s.signature}")
         if cid in cases:
@@ -367,15 +358,7 @@ def compute_lhs(num_points: int = 8, table: OracleTable | None = None) -> Fracti
 def _contribution(case_id: str, s: Splitting, oracle, recorder: list):
     """Assemble one splitting; its breakdown takes the oracle calls it adds."""
     start = len(recorder)
-    legs = sorted(l.marking for l in parent_graph().legs)
-    leg_side = cubic_scenario().leg_side
-    value = degeneration_rhs(
-        [s],
-        oracle,
-        load_model("p1"),
-        leg_degrees=tuple(4 for _ in legs),
-        leg_sides=tuple(leg_side[m] for m in legs),
-    )
+    value = degeneration_rhs([s], oracle, load_model("p1"), _LEG_DEGREES)
     breakdown = {
         "case": case_id,
         "signature": s.signature,

@@ -263,6 +263,15 @@ class Insertion(Frozen):
     __slots__ = ("coords", "psi")
 
     def __init__(self, coords, psi=0):
+        try:
+            coords = tuple(coords)
+        except TypeError as exc:
+            raise InvalidInputError(
+                f"coordinates must be a sequence of ints and Fractions, got {coords!r}"
+            ) from exc
+        for c in coords:
+            if c.__class__ not in (int, Fraction):
+                raise InvalidInputError(f"coordinate must be an int or a Fraction, got {c!r}")
         self._set(coords, integer_argument("psi power", psi, 0))
 
 
@@ -278,7 +287,12 @@ class InsertionList(Frozen):
 
 
 def make_insertions(ring: CohRing, classes, psis=None) -> tuple[Insertion, ...]:
-    psis = psis or [0] * len(classes)
+    if psis is None:
+        psis = [0] * len(classes)
+    elif len(psis) != len(classes):
+        raise InvalidInputError(
+            f"psis must give one psi power per class: {len(psis)} for {len(classes)} classes"
+        )
     return tuple(
         Insertion(coords=ring.class_coords(c), psi=p) for c, p in zip(classes, psis)
     )
@@ -339,10 +353,9 @@ def middle_diagonal_divisor_factor(ring: CohRing, curve_class) -> Fraction:
     table.
     """
     total = Fraction(0)
-    for delta, dual in kunneth_diagonal(ring):
-        if ring.degree_of(delta) != 2:
-            continue
-        total += ring.intersect(curve_class, delta) * ring.intersect(curve_class, dual)
+    for j, (delta, dual) in enumerate(kunneth_diagonal(ring)):
+        if ring.degrees[j] == 2:
+            total += ring.intersect(curve_class, delta) * ring.intersect(curve_class, dual)
     return total
 
 

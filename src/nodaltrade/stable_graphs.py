@@ -12,6 +12,8 @@ and the bundle of parent-edge placements drawn as one case.
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .errors import InvalidInputError, ResourceLimitError
@@ -52,17 +54,35 @@ class Leg(Frozen):
         object.__setattr__(self, "multiplicity", multiplicity)
 
 
+def _sequence(name, values) -> tuple:
+    try:
+        return tuple(values)
+    except TypeError as exc:
+        raise InvalidInputError(f"{name} must be a sequence, got {values!r}") from exc
+
+
 class StableGraph(Frozen):
     __slots__ = ("vertices", "edges", "legs")
 
     def __init__(self, vertices, edges, legs):
+        vertices = _sequence("vertices", vertices)
+        edges = _sequence("edges", edges)
+        legs = _sequence("legs", legs)
+        for v in vertices:
+            if v.__class__ is not Vertex:
+                raise InvalidInputError(f"vertex must be a Vertex, got {v!r}")
         nv = len(vertices)
-        for a, b in edges:
+        for edge in edges:
+            if edge.__class__ is not tuple or len(edge) != 2:
+                raise InvalidInputError(f"edge must be a pair of vertex indices, got {edge!r}")
+            a, b = edge
             integer_argument("edge end", a)
             integer_argument("edge end", b)
             if not (0 <= a < nv and 0 <= b < nv):
                 raise InvalidInputError(f"edge ({a},{b}) out of vertex range")
         for leg in legs:
+            if leg.__class__ is not Leg:
+                raise InvalidInputError(f"leg must be a Leg, got {leg!r}")
             if not 0 <= leg.vertex < nv:
                 raise InvalidInputError(f"leg {leg.marking} attached out of range")
         object.__setattr__(self, "vertices", vertices)
@@ -244,12 +264,12 @@ class DegenerationScenario(Frozen):
     lattice; legs are pre-assigned to sides (marking -> 1 or 2).
     """
 
-    __slots__ = ("name", "options", "push1", "push2", "leg_side")
+    __slots__ = ("options", "push1", "push2", "leg_side")
 
-    def __init__(self, name, options, push1, push2, leg_side):
+    def __init__(self, options, push1, push2, leg_side):
         # options: parent class -> iterable of SplitOption;
         # push1: side-1 class -> parent-lattice class
-        self._set(name, options, push1, push2, leg_side)
+        self._set(options, push1, push2, leg_side)
 
 
 class Splitting(Frozen):
@@ -258,13 +278,16 @@ class Splitting(Frozen):
     `variants` lists the concrete (gamma1, gamma2) pairs bundled into the
     case (they differ only in where the parent's edges sit on one side);
     gamma1/gamma2 are the first variant.  ell, m, aut follow the matched
-    relative legs, identical across the bundle.
+    relative legs, identical across the bundle.  `shape` is what the
+    enumerator chose: the sorted side-1 classes, the sorted contact
+    multiplicities and the sorted (side, "loop" or "bridge") of each
+    parent edge.
     """
 
-    __slots__ = ("gamma1", "gamma2", "variants", "ell", "m", "aut", "signature")
+    __slots__ = ("gamma1", "gamma2", "variants", "ell", "m", "aut", "signature", "shape")
 
-    def __init__(self, gamma1, gamma2, variants, ell, m, aut, signature):
-        self._set(gamma1, gamma2, variants, ell, m, aut, signature)
+    def __init__(self, gamma1, gamma2, variants, ell, m, aut, signature, shape):
+        self._set(gamma1, gamma2, variants, ell, m, aut, signature, shape)
 
 
 def _relabel_relative(graph: StableGraph, perm: dict) -> StableGraph:
@@ -375,18 +398,18 @@ def enumerate_splittings(
             )
         slots1 = _contact_slots(opt.side1)
         slots2 = _contact_slots(opt.side2)
-        if sorted(m for _, m in slots1) != sorted(m for _, m in slots2):
+        contacts = tuple(sorted(m for _, m in slots1))
+        if contacts != tuple(sorted(m for _, m in slots2)):
             raise InvalidInputError(
                 f"contact multisets disagree between sides in option {opt}"
             )
         ell = len(slots1)
-        m_factor = 1
-        for _, mult in slots1:
-            m_factor *= mult
+        classes = tuple(sorted(spec.cls for spec in opt.side1))
 
         matchings = _distinct_matchings(opt, slots1, slots2, markings1, markings2, ell)
         for rel1, rel2 in matchings:
-            for bundle in _placement_bundles(parent, opt, rel1, rel2, markings1, markings2, scenario):
+            bundles = _placement_bundles(parent, opt, rel1, rel2, markings1, markings2, scenario)
+            for edge_places, bundle in bundles.items():
                 variants = tuple(bundle)
                 g1, g2 = variants[0]
                 aut = sum(1 for _ in _relabelings((g1, g2), (g1, g2), ell))
@@ -396,9 +419,10 @@ def enumerate_splittings(
                         gamma2=g2,
                         variants=variants,
                         ell=ell,
-                        m=m_factor,
+                        m=math.prod(contacts),
                         aut=aut,
                         signature=_signature(g1, g2, variants),
+                        shape=(classes, contacts, tuple(sorted(edge_places))),
                     )
                 )
     return results
@@ -421,9 +445,8 @@ def _distinct_matchings(opt, slots1, slots2, markings1, markings2, ell):
 
 
 def _placement_bundles(parent, opt, rel1, rel2, markings1, markings2, scenario):
-    """Group valid parent-edge placements by (side, kind) into bundles.
-
-    A parent without edges has one, empty, placement."""
+    """Valid parent-edge placements, bundled under their (side, kind) per
+    parent edge.  A parent without edges has one, empty, placement."""
     choices = [(1, kind, where) for kind, where in _edge_placements(len(opt.side1))]
     choices += [(2, kind, where) for kind, where in _edge_placements(len(opt.side2))]
     bundles: dict[tuple, list] = {}
@@ -440,7 +463,7 @@ def _placement_bundles(parent, opt, rel1, rel2, markings1, markings2, scenario):
             continue
         key = tuple((side, kind) for side, kind, _ in assignment)
         bundles.setdefault(key, []).append((g1, g2))
-    return list(bundles.values())
+    return bundles
 
 
 def _signature(g1, g2, variants):
@@ -456,33 +479,33 @@ def _signature(g1, g2, variants):
     return f"side1[{side_sig(g1)}] side2[{side_sig(g2)}] rel({mults}) x{len(variants)}"
 
 
-def degeneration_rhs(
-    splittings,
-    rel_oracle,
-    ring_d,
-    leg_degrees=None,
-    leg_sides=None,
-):
+def degeneration_rhs(splittings, rel_oracle, ring_d, leg_degrees):
     """Assemble the degeneration sum from splittings and an invariant oracle.
 
     Each splitting contributes m/|Aut| times the dual-basis sum over the
     double locus: for every tuple of basis indices, side 1 is queried with
     the basis classes and side 2 with their duals, and the products are
-    summed over the bundled variants.  The sign flips once per pair of
-    odd interior classes that swap past each other in the side split.
+    summed over the bundled variants.  `leg_degrees` maps each interior
+    marking to the degree of its class; the sign flips once per pair of odd
+    classes that swap past each other when the splitting's sides take them.
     """
+    if not isinstance(leg_degrees, Mapping):
+        raise InvalidInputError(f"leg_degrees must map markings to degrees, got {leg_degrees!r}")
     pairs = kunneth_diagonal(ring_d)
     labels = [
         (ring_d.label_of(delta), ring_d.label_of(dual)) for delta, dual in pairs
     ]
-    if (leg_degrees is None) != (leg_sides is None):
-        missing = "leg_sides" if leg_sides is None else "leg_degrees"
-        raise InvalidInputError(
-            f"the reordering sign needs leg_degrees and leg_sides: {missing} is missing"
-        )
-    sign = 1 if leg_degrees is None else kunneth_reorder_sign(leg_degrees, leg_sides)
     total = Fraction(0)
     for s in splittings:
+        sides = sorted(
+            (l.marking, side)
+            for side, g in ((1, s.gamma1), (2, s.gamma2))
+            for l in g.interior_legs()
+        )
+        for m, _ in sides:
+            if m not in leg_degrees:
+                raise InvalidInputError(f"leg_degrees has no degree for marking {m!r}")
+        sign = kunneth_reorder_sign([leg_degrees[m] for m, _ in sides], [side for _, side in sides])
         contribution = Fraction(0)
         for g1, g2 in s.variants:
             for combo in itertools.product(range(len(pairs)), repeat=s.ell):

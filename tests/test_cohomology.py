@@ -336,6 +336,17 @@ def test_divisor_reduce_rejections():
         divisor_reduce(no_match, "p", p2)  # degree 4 is not a divisor
 
 
+def test_make_insertions_refuses_psis_of_another_length():
+    # zip used to drop the classes past the end of psis
+    p2 = load_model("p2")
+    assert [i.psi for i in make_insertions(p2, ["p", "H"], [0, 2])] == [0, 2]
+    assert [i.psi for i in make_insertions(p2, ["p", "H"])] == [0, 0]
+    for psis in ([0], [], [0, 0, 0, 0]):
+        message = f"^psis must give one psi power per class: {len(psis)} for 3 classes$"
+        with pytest.raises(InvalidInputError, match=message):
+            make_insertions(p2, ["p", "p", "H"], psis)
+
+
 def test_middle_divisor_factors():
     p2 = load_model("p2")
     f1 = load_model("f1")

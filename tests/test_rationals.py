@@ -183,6 +183,21 @@ GATED = {
                            ((1, "x", "y"), "entry 'a' must be a (value, provenance) pair, got (1, 'x', 'y')")]),
     "OracleTable.entries": (OracleTable,
                             [(5, "entries must map keys to (value, provenance) pairs, got 5")]),
+    "StableGraph.vertices": (lambda v: StableGraph(v, (), ()),
+                             [(5, "vertices must be a sequence, got 5"),
+                              ((5,), "vertex must be a Vertex, got 5")]),
+    "StableGraph.edges.sequence": (lambda v: StableGraph(POINT, v, ()),
+                                   [(5, "edges must be a sequence, got 5")]),
+    "StableGraph.edge": (lambda v: StableGraph(POINT, (v,), ()),
+                         [(v, f"edge must be a pair of vertex indices, got {v!r}")
+                          for v in (5, (0,), (0, 0, 0), [0, 0])]),
+    "StableGraph.legs": (lambda v: StableGraph(POINT, (), v),
+                         [(5, "legs must be a sequence, got 5"),
+                          ((5,), "leg must be a Leg, got 5")]),
+    "Insertion.coords": (Insertion,
+                         [(5, "coordinates must be a sequence of ints and Fractions, got 5"),
+                          ((0.5, 0, 0), "coordinate must be an int or a Fraction, got 0.5"),
+                          ((True,), "coordinate must be an int or a Fraction, got True")]),
 }
 
 

@@ -169,29 +169,39 @@ def test_json_round_trip():
     assert graph_from_json(g.to_json()) == g
 
 
-def toy_scenario():
-    # parent: one vertex, no edges, class (2,); splits into (1,) + (1,)
-    # with a single transverse contact
-    def options(cls):
-        return [
-            SplitOption(
-                side1=(SideVertexSpec((1,), (1,)),),
-                side2=(SideVertexSpec((1,), (1,)),),
-            )
-        ]
-
+def split_once(side1, side2, leg_side=None):
+    """A scenario with one split option whose classes push forward unchanged."""
     return DegenerationScenario(
-        name="toy",
-        options=options,
+        options=lambda cls: [SplitOption(side1=side1, side2=side2)],
         push1=lambda c: c,
         push2=lambda c: c,
-        leg_side={1: 1, 2: 1, 3: 2},
+        leg_side=leg_side or {},
     )
 
 
+LINE = (SideVertexSpec((1,), (1,)),)  # a class-(1,) vertex with one transverse contact
+TWICE = (SideVertexSpec((1,), (1, 1)),)  # a class-(1,) vertex with two
+
+# every toy (parent, scenario) that enumerates, by name
+TOY_SPLITS = {
+    # one edgeless vertex of class (2,) splitting into (1,) + (1,)
+    "toy": (one_vertex(0, (2,), legs=[1, 2, 3]), split_once(LINE, LINE, {1: 1, 2: 1, 3: 2})),
+    "toy-swapped": (one_vertex(0, (2,), legs=[1, 2, 3]), split_once(LINE, LINE, {1: 2, 2: 1, 3: 1})),
+    "tangent-toy": (
+        one_vertex(0, (2,), legs=[1, 2]),
+        split_once((SideVertexSpec((1,), (2,)),), (SideVertexSpec((1,), (2,)),), {1: 1, 2: 2}),
+    ),
+    # a genus-1 edgeless parent splitting into two vertices joined twice
+    "double-contact": (StableGraph((Vertex(1, (2,)),), (), ()), split_once(TWICE, TWICE)),
+    "mixed-contact": (
+        StableGraph((Vertex(1, (4,)),), (), ()),
+        split_once((SideVertexSpec((1,), (1, 2)),), (SideVertexSpec((3,), (2, 1)),)),
+    ),
+}
+
+
 def test_edgeless_parent_single_splitting():
-    parent = one_vertex(0, (2,), legs=[1, 2, 3])
-    result = enumerate_splittings(parent, toy_scenario())
+    result = enumerate_splittings(*TOY_SPLITS["toy"])
     assert len(result) == 1
     s = result[0]
     assert s.ell == 1
@@ -204,86 +214,26 @@ def test_edgeless_parent_single_splitting():
 
 
 def test_multiplicity_factor_from_contacts():
-    def options(cls):
-        return [
-            SplitOption(
-                side1=(SideVertexSpec((1,), (2,)),),
-                side2=(SideVertexSpec((1,), (2,)),),
-            )
-        ]
-
-    scenario = DegenerationScenario(
-        name="tangent-toy",
-        options=options,
-        push1=lambda c: c,
-        push2=lambda c: c,
-        leg_side={1: 1, 2: 2},
-    )
-    parent = one_vertex(0, (2,), legs=[1, 2])
-    (s,) = enumerate_splittings(parent, scenario)
+    (s,) = enumerate_splittings(*TOY_SPLITS["tangent-toy"])
     assert s.m == 2 and s.ell == 1 and s.aut == 1
 
 
 def test_shape_bound_enforced():
-    def options(cls):
-        return [
-            SplitOption(
-                side1=tuple(SideVertexSpec((1,), ()) for _ in range(3)),
-                side2=(SideVertexSpec((1,), ()),),
-            )
-        ]
-
-    scenario = DegenerationScenario(
-        name="wide",
-        options=options,
-        push1=lambda c: c,
-        push2=lambda c: c,
-        leg_side={},
-    )
+    point = SideVertexSpec((1,), ())
+    scenario = split_once((point, point, point), (point,))
     with pytest.raises(ResourceLimitError):
         enumerate_splittings(one_vertex(0, (4,)), scenario)
 
 
 def test_contact_mismatch_rejected():
-    def options(cls):
-        return [
-            SplitOption(
-                side1=(SideVertexSpec((1,), (2,)),),
-                side2=(SideVertexSpec((1,), (1,)),),
-            )
-        ]
-
-    scenario = DegenerationScenario(
-        name="bad",
-        options=options,
-        push1=lambda c: c,
-        push2=lambda c: c,
-        leg_side={},
-    )
+    scenario = split_once((SideVertexSpec((1,), (2,)),), (SideVertexSpec((1,), (1,)),))
     with pytest.raises(InvalidInputError):
         enumerate_splittings(one_vertex(0, (2,)), scenario)
 
 
 def test_symmetric_double_contact_has_stabilizer_two():
-    # genus-1 edgeless parent splitting into two vertices joined twice:
     # swapping the matched legs fixes the splitting, so aut = 2
-    def options(cls):
-        return [
-            SplitOption(
-                side1=(SideVertexSpec((1,), (1, 1)),),
-                side2=(SideVertexSpec((1,), (1, 1)),),
-            )
-        ]
-
-    scenario = DegenerationScenario(
-        name="double-contact",
-        options=options,
-        push1=lambda c: c,
-        push2=lambda c: c,
-        leg_side={},
-    )
-    parent = StableGraph(vertices=(Vertex(1, (2,)),), edges=(), legs=())
-    (s,) = enumerate_splittings(parent, scenario)
+    (s,) = enumerate_splittings(*TOY_SPLITS["double-contact"])
     assert s.ell == 2
     assert s.m == 1
     assert s.aut == 2
@@ -293,75 +243,70 @@ def test_symmetric_double_contact_has_stabilizer_two():
 
 def test_aut_one_when_contact_triples_distinct():
     # distinct multiplicities pin the matching completely
-    def options(cls):
-        return [
-            SplitOption(
-                side1=(SideVertexSpec((1,), (1, 2)),),
-                side2=(SideVertexSpec((3,), (2, 1)),),
-            )
-        ]
-
-    scenario = DegenerationScenario(
-        name="mixed-contact",
-        options=options,
-        push1=lambda c: c,
-        push2=lambda c: c,
-        leg_side={},
-    )
-    parent = StableGraph(vertices=(Vertex(1, (4,)),), edges=(), legs=())
-    (s,) = enumerate_splittings(parent, scenario)
+    (s,) = enumerate_splittings(*TOY_SPLITS["mixed-contact"])
     assert s.ell == 2 and s.m == 2 and s.aut == 1
 
 
-def test_degeneration_rhs_divides_by_stabilizer():
-    def options(cls):
-        return [
-            SplitOption(
-                side1=(SideVertexSpec((1,), (1, 1)),),
-                side2=(SideVertexSpec((1,), (1, 1)),),
-            )
-        ]
-
-    scenario = DegenerationScenario(
-        name="double-contact",
-        options=options,
-        push1=lambda c: c,
-        push2=lambda c: c,
-        leg_side={},
+def shape_from_side_graphs(s):
+    """The shape read back off the side graphs: the side-1 vertex classes, the
+    side-1 contact multiplicities and each edge's (side, "loop" or "bridge")."""
+    return (
+        tuple(sorted(v.cls for v in s.gamma1.vertices)),
+        tuple(sorted(l.multiplicity for l in s.gamma1.relative_legs())),
+        tuple(sorted(
+            (side, "loop" if a == b else "bridge")
+            for side, g in ((1, s.gamma1), (2, s.gamma2))
+            for a, b in g.edges
+        )),
     )
-    parent = StableGraph(vertices=(Vertex(1, (2,)),), edges=(), legs=())
+
+
+@pytest.mark.parametrize("name", ["p2-f1-cubic", *TOY_SPLITS])
+def test_recorded_shape_matches_the_side_graphs(name):
+    from nodaltrade.case_study import cubic_scenario, parent_graph
+
+    parent, scenario = (
+        (parent_graph(), cubic_scenario()) if name == "p2-f1-cubic" else TOY_SPLITS[name]
+    )
     splittings = enumerate_splittings(parent, scenario)
+    assert splittings
+    for s in splittings:
+        assert s.shape == shape_from_side_graphs(s)
+        # every variant of the bundle has the same shape
+        for g1, g2 in s.variants:
+            assert shape_from_side_graphs(s.replace(gamma1=g1, gamma2=g2)) == s.shape
+
+
+def unit_oracle(side, graph, boundary):
+    return Fraction(1)
+
+
+def test_degeneration_rhs_divides_by_stabilizer():
+    splittings = enumerate_splittings(*TOY_SPLITS["double-contact"])
     point = load_model("point")
-    total = degeneration_rhs(splittings, lambda *a: Fraction(6), point)
+    total = degeneration_rhs(splittings, lambda *a: Fraction(6), point, {})
     # one splitting, m=1, aut=2, single dual pair: 6 * 6 / 2
     assert total == 18
 
 
 def test_degeneration_rhs_trivial_cases():
     point = load_model("point")
-    assert degeneration_rhs([], lambda *a: Fraction(1), point) == 0
-
-    parent = one_vertex(0, (2,), legs=[1, 2, 3])
-    (s,) = enumerate_splittings(parent, toy_scenario())
-
-    def unit_oracle(side, graph, boundary):
-        return Fraction(1)
-
-    assert degeneration_rhs([s], unit_oracle, point) == 1
+    assert degeneration_rhs([], unit_oracle, point, {}) == 0
+    (s,) = enumerate_splittings(*TOY_SPLITS["toy"])
+    assert degeneration_rhs([s], unit_oracle, point, {1: 0, 2: 0, 3: 0}) == 1
 
 
 def test_degeneration_rhs_kunneth_sum_over_p1():
     # over the line model the matched contact sums two dual pairs
     p1 = load_model("p1")
-    parent = one_vertex(0, (2,), legs=[1, 2, 3])
-    (s,) = enumerate_splittings(parent, toy_scenario())
+    (s,) = enumerate_splittings(*TOY_SPLITS["toy"])
     calls = []
 
     def oracle(side, graph, boundary):
         calls.append((side, boundary))
         return Fraction(2) if side == 1 else Fraction(3)
 
-    total = degeneration_rhs([s], oracle, p1)
+    total = degeneration_rhs([s], oracle, p1, {1: 0, 2: 0, 3: 0})
     # two Kunneth terms, each contributing 2 * 3
     assert total == 12
     assert ((1, ("1",)) in calls) and ((1, ("pt",)) in calls)
@@ -370,36 +315,22 @@ def test_degeneration_rhs_kunneth_sum_over_p1():
 
 def test_degeneration_rhs_sign_from_odd_legs():
     point = load_model("point")
-    parent = one_vertex(0, (2,), legs=[1, 2, 3])
-    (s,) = enumerate_splittings(parent, toy_scenario())
-
-    def unit_oracle(side, graph, boundary):
-        return Fraction(1)
-
     # legs 1 and 3 odd, on sides 1 and 2: no swap needed, sign +1
-    assert degeneration_rhs(
-        [s], unit_oracle, point, leg_degrees=(1, 2, 1), leg_sides=(1, 1, 2)
-    ) == 1
-    # odd leg on side 2 must move past an odd leg on side 1: sign -1
-    assert degeneration_rhs(
-        [s], unit_oracle, point, leg_degrees=(1, 1, 2), leg_sides=(2, 1, 1)
-    ) == -1
+    (s,) = enumerate_splittings(*TOY_SPLITS["toy"])
+    assert degeneration_rhs([s], unit_oracle, point, {1: 1, 2: 2, 3: 1}) == 1
+    # leg 1 sits on side 2 and must move past the odd leg 2 on side 1: sign -1
+    (s,) = enumerate_splittings(*TOY_SPLITS["toy-swapped"])
+    assert {l.marking for l in s.gamma2.interior_legs()} == {1}
+    assert degeneration_rhs([s], unit_oracle, point, {1: 1, 2: 1, 3: 2}) == -1
+    # the sides are the splitting's own: the same degrees on the unswapped toy read +1
+    (s,) = enumerate_splittings(*TOY_SPLITS["toy"])
+    assert degeneration_rhs([s], unit_oracle, point, {1: 1, 2: 1, 3: 2}) == 1
 
 
-def test_degeneration_rhs_refuses_half_of_the_sign_data():
-    # half of the pair used to drop the sign silently: case (i) reads -1 with both
-    from nodaltrade.case_study import enumerate_cases
-
+def test_degeneration_rhs_refuses_a_marking_without_a_degree():
     point = load_model("point")
-    s = enumerate_cases()["i"]
-
-    def unit_oracle(side, graph, boundary):
-        return Fraction(1)
-
-    degrees, sides = (1, 1, 2, 4, 4, 4, 4, 4), (2, 1, 1, 1, 1, 2, 2, 2)
-    assert degeneration_rhs([s], unit_oracle, point, leg_degrees=degrees, leg_sides=sides) == -1
-    assert degeneration_rhs([s], unit_oracle, point) == 1
-    for given, missing in (({"leg_degrees": degrees}, "leg_sides"),
-                           ({"leg_sides": sides}, "leg_degrees")):
-        with pytest.raises(InvalidInputError, match=f"{missing} is missing$"):
-            degeneration_rhs([s], unit_oracle, point, **given)
+    (s,) = enumerate_splittings(*TOY_SPLITS["toy"])
+    with pytest.raises(InvalidInputError, match="^leg_degrees has no degree for marking 3$"):
+        degeneration_rhs([s], unit_oracle, point, {1: 1, 2: 1})
+    with pytest.raises(InvalidInputError, match="^leg_degrees must map markings to degrees"):
+        degeneration_rhs([s], unit_oracle, point, (1, 1, 2))
