@@ -381,22 +381,18 @@ def compute_contribution(case_id: str, table: OracleTable | None = None):
     return _contribution(case_id, enumerate_cases()[case_id], oracle, recorder)
 
 
-class CaseReport(Frozen):
+class CaseReport(Frozen, derived=("rhs_total", "agreement")):
+    """Both routes' values; the total and the agreement derive from the contributions."""
+
     __slots__ = ("lhs", "contributions", "rhs_total", "agreement", "breakdowns", "lhs_breakdown")
 
-    def __init__(
-        self, lhs, contributions, rhs_total, agreement, breakdowns=None, lhs_breakdown=None
-    ):
-        total = sum(contributions.values(), Fraction(0))
-        if rhs_total != total:
-            raise VerificationError(
-                "report total does not match its own contributions", lhs=rhs_total, rhs=total
-            )
+    def __init__(self, lhs, contributions, breakdowns=None, lhs_breakdown=None):
+        rhs_total = sum(contributions.values(), Fraction(0))
         self._set(
             lhs,
             contributions,
             rhs_total,
-            agreement,
+            rhs_total == lhs,
             {} if breakdowns is None else breakdowns,
             {} if lhs_breakdown is None else lhs_breakdown,
         )
@@ -411,15 +407,7 @@ def compute_rhs_total(table: OracleTable | None = None) -> CaseReport:
     breakdowns = {}
     for cid, s in enumerate_cases().items():
         contributions[cid], breakdowns[cid] = _contribution(cid, s, oracle, recorder)
-    rhs = sum(contributions.values(), Fraction(0))
-    return CaseReport(
-        lhs=lhs,
-        contributions=contributions,
-        rhs_total=rhs,
-        agreement=(rhs == lhs),
-        breakdowns=breakdowns,
-        lhs_breakdown=lhs_breakdown,
-    )
+    return CaseReport(lhs, contributions, breakdowns, lhs_breakdown)
 
 
 # -- elliptic warm-up --------------------------------------------------------

@@ -356,10 +356,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except NodalTradeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (NodalTradeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report["seed"] = args.seed

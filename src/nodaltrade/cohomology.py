@@ -10,6 +10,7 @@ them.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -18,7 +19,8 @@ from types import MappingProxyType
 from . import linalg, read_bundled
 from .errors import InvalidInputError, InvalidModelError, UnsupportedCaseError
 from .frozen import Frozen
-from .rationals import as_rational, format_rational, integer_argument, integer_sequence
+from .rationals import (as_rational, format_rational, integer_argument, integer_sequence,
+                        sequence_argument)
 
 
 def _join_terms(terms) -> str:
@@ -34,6 +36,12 @@ def _rational_rows(name, what, rows) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(map(as_rational, row)) for row in rows)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidModelError(f"model {name}: {what} entries must be rationals: {exc}") from exc
+
+
+def _curve_rank(name, curve_labels) -> int:
+    if curve_labels is None:
+        raise InvalidModelError(f"model {name} carries no curve-class lattice")
+    return len(curve_labels)
 
 
 class CohRing(Frozen, derived=("duals", "divisor_rows")):
@@ -66,64 +74,70 @@ class CohRing(Frozen, derived=("duals", "divisor_rows")):
         intersection_matrix=None,
         divisor_lattice=None,
     ):
+        labels = sequence_argument(f"model {name}: labels", labels, " of strings", InvalidModelError)
+        for lab in labels:
+            if not isinstance(lab, str):
+                raise InvalidModelError(f"model {name}: a basis label must be a string, got {lab!r}")
+        if len(set(labels)) != len(labels):
+            raise InvalidModelError(f"model {name}: basis labels must be distinct, got {labels}")
         size = len(labels)
         degrees = integer_sequence("degrees", degrees, "degree", 0)
+        pairing = sequence_argument(f"model {name}: pairing", pairing, " of rows", InvalidModelError)
         if len(degrees) != size or len(pairing) != size:
             raise InvalidModelError(f"model {name}: inconsistent basis data")
-        if any(len(row) != size for row in pairing):
+        rows = [sequence_argument(f"model {name}: pairing row", row, error=InvalidModelError)
+                for row in pairing]
+        if any(len(row) != size for row in rows):
             raise InvalidModelError(
                 f"model {name}: pairing must be {size} x {size}, one entry per basis label"
             )
-        pairing = _rational_rows(name, "pairing", pairing)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "pairing", pairing)
-        object.__setattr__(self, "curve_labels", curve_labels)
+        pairing = _rational_rows(name, "pairing", rows)
+        if curve_labels is not None:
+            curve_labels = sequence_argument(
+                f"model {name}: curve labels", curve_labels, error=InvalidModelError
+            )
         if intersection_matrix is not None:
             intersection_matrix = _rational_rows(name, "intersection matrix", intersection_matrix)
-            r = self.curve_rank
+            r = _curve_rank(name, curve_labels)
             if len(intersection_matrix) != r or any(len(row) != r for row in intersection_matrix):
                 raise InvalidModelError(
                     f"model {name}: intersection matrix must be {r} x {r}, one entry per curve label"
                 )
-        rows = None
+        divisor_rows = None
         if divisor_lattice is not None:
+            if not isinstance(divisor_lattice, Mapping):
+                raise InvalidModelError(
+                    f"model {name}: the divisor lattice must be a mapping, got {divisor_lattice!r}"
+                )
             vectors = _rational_rows(name, "divisor lattice", divisor_lattice.values())
             divisor_lattice = MappingProxyType(dict(zip(divisor_lattice, vectors)))
             for lab, vec in divisor_lattice.items():
-                if lab not in labels or len(vec) != self.curve_rank:
+                r = _curve_rank(name, curve_labels)
+                if lab not in labels or len(vec) != r:
                     raise InvalidModelError(
                         f"model {name}: the divisor lattice must map basis labels to vectors "
-                        f"of length {self.curve_rank}, got length {len(vec)} for {lab!r}"
+                        f"of length {r}, got length {len(vec)} for {lab!r}"
                     )
             if intersection_matrix is None:
                 raise InvalidModelError(f"model {name}: a divisor lattice needs an intersection matrix")
-            rows = tuple(
+            divisor_rows = tuple(
                 None if (vec := divisor_lattice.get(lab)) is None
                 else tuple(sum(map(mul, row, vec)) for row in intersection_matrix)
                 for lab in labels
             )
-        object.__setattr__(self, "intersection_matrix", intersection_matrix)
-        object.__setattr__(self, "divisor_lattice", divisor_lattice)
-        object.__setattr__(self, "divisor_rows", rows)
         # one kernel of [G | -I] both proves G nonsingular and inverts it: its
         # basis vector with free part e_j is (G^-1 e_j, e_j)
-        augmented = [
-            list(row) + [-1 if i == j else 0 for j in range(size)]
-            for i, row in enumerate(self.pairing)
-        ]
-        kernel = linalg.nullspace(augmented)
-        if [v[size:] for v in kernel] != [self.basis_vector(j) for j in range(size)]:
-            raise InvalidModelError(f"model {self.name}: pairing is singular")
-        object.__setattr__(self, "duals", tuple(v[:size] for v in kernel))
-        top = self.top_degree
+        identity = [[int(i == j) for j in range(size)] for i in range(size)]
+        kernel = linalg.nullspace([[*row, *(-e for e in unit)] for row, unit in zip(pairing, identity)])
+        if [list(v[size:]) for v in kernel] != identity:
+            raise InvalidModelError(f"model {name}: pairing is singular")
+        top = max(degrees)
         for i in range(size):
             for j in range(size):
-                if self.pairing[i][j] and self.degrees[i] + self.degrees[j] != top:
-                    raise InvalidModelError(
-                        f"model {self.name}: pairing violates degree complementarity"
-                    )
+                if pairing[i][j] and degrees[i] + degrees[j] != top:
+                    raise InvalidModelError(f"model {name}: pairing violates degree complementarity")
+        self._set(name, labels, degrees, pairing, curve_labels, intersection_matrix,
+                  divisor_lattice, tuple(v[:size] for v in kernel), divisor_rows)
 
     @property
     def size(self) -> int:
@@ -196,9 +210,7 @@ class CohRing(Frozen, derived=("duals", "divisor_rows")):
 
     @property
     def curve_rank(self) -> int:
-        if self.curve_labels is None:
-            raise InvalidModelError(f"model {self.name} carries no curve-class lattice")
-        return len(self.curve_labels)
+        return _curve_rank(self.name, self.curve_labels)
 
     def curve_label(self, curve) -> str:
         return _join_terms(
@@ -263,12 +275,7 @@ class Insertion(Frozen):
     __slots__ = ("coords", "psi")
 
     def __init__(self, coords, psi=0):
-        try:
-            coords = tuple(coords)
-        except TypeError as exc:
-            raise InvalidInputError(
-                f"coordinates must be a sequence of ints and Fractions, got {coords!r}"
-            ) from exc
+        coords = sequence_argument("coordinates", coords, " of ints and Fractions")
         for c in coords:
             if c.__class__ not in (int, Fraction):
                 raise InvalidInputError(f"coordinate must be an int or a Fraction, got {c!r}")
@@ -287,9 +294,9 @@ class InsertionList(Frozen):
 
 
 def make_insertions(ring: CohRing, classes, psis=None) -> tuple[Insertion, ...]:
-    if psis is None:
-        psis = [0] * len(classes)
-    elif len(psis) != len(classes):
+    classes = sequence_argument("classes", classes)
+    psis = [0] * len(classes) if psis is None else sequence_argument("psis", psis, " of psi powers")
+    if len(psis) != len(classes):
         raise InvalidInputError(
             f"psis must give one psi power per class: {len(psis)} for {len(classes)} classes"
         )

@@ -14,7 +14,7 @@ from math import prod
 
 from .errors import InvalidInputError, ResourceLimitError
 from .frozen import Frozen
-from .rationals import integer_argument, integer_sequence
+from .rationals import integer_argument, integer_sequence, sequence_argument
 
 DEFAULT_MAX_N = 5
 _ENV_MAX_N = "NODAL_TRADE_MAX_N"
@@ -62,10 +62,7 @@ class Pairing(Frozen):
     __slots__ = ("pairs",)
 
     def __init__(self, pairs):
-        try:
-            pairs = tuple(pairs)
-        except TypeError as exc:
-            raise InvalidInputError(f"pairs must be a sequence of pairs, got {pairs!r}") from exc
+        pairs = sequence_argument("pairs", pairs, " of pairs")
         for pair in pairs:
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
                 raise InvalidInputError(f"a pair must have two entries, got {pair!r}")
@@ -76,8 +73,6 @@ class Pairing(Frozen):
             raise InvalidInputError(
                 f"pairs must cover 1..{2 * n} exactly once, got {pairs}"
             )
-        if any(a == b for a, b in canon):
-            raise InvalidInputError(f"involution must be fixed-point free: {pairs}")
         object.__setattr__(self, "pairs", canon)
 
     @property
@@ -181,10 +176,7 @@ def loop_number(p1: Pairing, p2: Pairing) -> int:
     Computed via cycle counting: the product permutation p1*p2 has exactly
     2L cycles, which is cheaper than tracing arcs and self-checking.
     """
-    cycles = _product_cycles(p1, p2)
-    if len(cycles) % 2:
-        raise InvalidInputError("pairing product has an odd cycle count; invalid input")
-    return len(cycles) // 2
+    return len(loop_type(p1, p2))
 
 
 def loop_type(p1: Pairing, p2: Pairing):

@@ -4,8 +4,9 @@ which `new_in_lowest_terms` applies to build every value kept over one denominat
 
 All machine-readable output renders numbers this way so that no consumer
 ever sees a float.  `integer_argument` alone decides what an integer
-argument is, `integer_sequence` what a sequence of them is, and
-`rational_argument` what a rational argument is.
+argument is, `sequence_argument` what a sequence argument is,
+`integer_sequence` what a sequence of integers is, and `rational_argument`
+what a rational argument is.
 """
 
 from fractions import Fraction
@@ -51,17 +52,20 @@ def integer_argument(name: str, value, minimum=None) -> int:
     return value
 
 
-def integer_sequence(name: str, values, entry: str, minimum=None, within=None) -> tuple:
-    """A sequence argument as a tuple whose every entry passes `integer_argument`
-    under the name `entry`; a value that cannot be iterated is an input error
-    naming the argument (and the model it is read `within`, if one is given)."""
+def sequence_argument(name: str, values, of: str = "", error=InvalidInputError) -> tuple:
+    """A sequence argument as a tuple; a value that cannot be iterated is an
+    `error` naming the argument and, in `of`, what it is a sequence of."""
     try:
-        values = tuple(values)
+        return tuple(values)
     except TypeError as exc:
-        where = f" in {within}" if within else ""
-        raise InvalidInputError(
-            f"{name} must be a sequence of integers{where}, got {values!r}"
-        ) from exc
+        raise error(f"{name} must be a sequence{of}, got {values!r}") from exc
+
+
+def integer_sequence(name: str, values, entry: str, minimum=None, within=None) -> tuple:
+    """`sequence_argument` whose every entry passes `integer_argument` under the
+    name `entry`; a refusal of the sequence names the model it is read
+    `within`, if one is given."""
+    values = sequence_argument(name, values, f" of integers in {within}" if within else " of integers")
     for value in values:
         integer_argument(entry, value, minimum)
     return values

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .errors import InvalidInputError, ResourceLimitError
 from .cohomology import kunneth_diagonal, kunneth_reorder_sign
 from .frozen import Frozen
-from .rationals import integer_argument, integer_sequence
+from .rationals import integer_argument, integer_sequence, sequence_argument
 
 INTERIOR = "interior"
 RELATIVE = "relative"
@@ -54,20 +54,13 @@ class Leg(Frozen):
         object.__setattr__(self, "multiplicity", multiplicity)
 
 
-def _sequence(name, values) -> tuple:
-    try:
-        return tuple(values)
-    except TypeError as exc:
-        raise InvalidInputError(f"{name} must be a sequence, got {values!r}") from exc
-
-
 class StableGraph(Frozen):
     __slots__ = ("vertices", "edges", "legs")
 
     def __init__(self, vertices, edges, legs):
-        vertices = _sequence("vertices", vertices)
-        edges = _sequence("edges", edges)
-        legs = _sequence("legs", legs)
+        vertices = sequence_argument("vertices", vertices)
+        edges = sequence_argument("edges", edges)
+        legs = sequence_argument("legs", legs)
         for v in vertices:
             if v.__class__ is not Vertex:
                 raise InvalidInputError(f"vertex must be a Vertex, got {v!r}")

@@ -356,6 +356,17 @@ def test_refusals_name_their_option(capsys, tmp_path, monkeypatch, argv, prefix)
     assert err.startswith(f"error: {prefix}") and err.count("\n") == 1
 
 
+def test_an_unreadable_bundled_file_exits_2(capsys, monkeypatch):
+    # no option names the bundled data, so its OSError reaches main itself
+    import nodaltrade
+    import nodaltrade.cohomology as cohomology
+
+    monkeypatch.setattr(cohomology, "read_bundled", lambda name: nodaltrade.read_bundled("absent.json"))
+    code, out, err = run_cli(capsys, "models", "--name", "never-loaded")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2] ") and err.count("\n") == 1
+
+
 def test_trade_n_0_is_named_before_the_vector_length(capsys, tmp_path):
     f = tmp_path / "three.json"
     f.write_text('["1", "2", "3"]')
@@ -491,12 +502,8 @@ def test_verification_failure_exit_code(capsys, monkeypatch):
     from fractions import Fraction
     from nodaltrade.case_study import CaseReport
 
-    fake = CaseReport(
-        lhs=Fraction(54),
-        contributions={"i": Fraction(53)},
-        rhs_total=Fraction(53),
-        agreement=False,
-    )
+    fake = CaseReport(lhs=Fraction(54), contributions={"i": Fraction(53)})
+    assert (fake.rhs_total, fake.agreement) == (Fraction(53), False)
     monkeypatch.setattr(cli.case_study, "compute_rhs_total", lambda: fake)
     code, _, err = run_cli(capsys, "appendix")
     assert code == 1

@@ -165,6 +165,11 @@ def test_p2_diagonal():
     assert labels == [("1", "p"), ("H", "H"), ("p", "1")]
 
 
+def test_label_of_renders_zero_and_multiples():
+    ring = load_model("p2")
+    assert [ring.label_of(c) for c in ((0, 0, 0), (0, 2, 0), (1, 0, "-1/2"))] == ["0", "2*H", "1-1/2*p"]
+
+
 def test_point_diagonal():
     ring = load_model("point")
     pairs = kunneth_diagonal(ring)

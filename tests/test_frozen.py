@@ -162,7 +162,9 @@ def test_derived_and_uncompared_fields():
     ring = load_model("p1")
     assert "duals" not in repr(ring) and ring.replace() == ring
     assert ring.replace(name="copy").duals == ring.duals
-    report = CaseReport(Fraction(1), {"i": Fraction(1)}, Fraction(1), True, breakdowns={"i": 1})
+    report = CaseReport(Fraction(1), {"i": Fraction(1)}, breakdowns={"i": 1})
+    assert (report.rhs_total, report.agreement) == (Fraction(1), True)
+    assert "rhs_total" not in repr(report) and "agreement" not in repr(report)
     assert report != report.replace(breakdowns={}) and "breakdowns={'i': 1}" in repr(report)
     assert report == report.replace()
     with pytest.raises(TypeError, match="unhashable"):

@@ -8,7 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nodaltrade
-from nodaltrade.case_study import compute_lhs, elliptic_demo, parent_graph
+from nodaltrade.case_study import (
+    _cubic_options,
+    compute_lhs,
+    cubic_scenario,
+    elliptic_demo,
+    evaluate_plane_invariant,
+    parent_graph,
+)
 from nodaltrade.cohomology import (
     CohRing,
     Insertion,
@@ -19,14 +26,21 @@ from nodaltrade.cohomology import (
     make_insertions,
     middle_diagonal_divisor_factor,
 )
-from nodaltrade.errors import InvalidInputError
-from nodaltrade.loop_matrix import flavor_dimension
-from nodaltrade.node_trade import primitive_insertion_pairs
+from nodaltrade.errors import InvalidInputError, InvalidModelError, UnsupportedCaseError
+from nodaltrade.loop_matrix import (
+    PairingVector,
+    build_loop_matrix,
+    flavor_dimension,
+    isotypic_component,
+    restricted_inverse_apply,
+)
+from nodaltrade.node_trade import primitive_insertion_pairs, recover
 from nodaltrade.pairings import Pairing, act_permutation
 from nodaltrade.partitions import Partition, all_partitions, even_row_partitions
 from nodaltrade.plane_counts import OracleTable, kontsevich_nd, pencil_reducible_count
 from nodaltrade.rationals import as_rational, format_rational, over_common_denominator
-from nodaltrade.stable_graphs import Leg, StableGraph, Vertex
+from nodaltrade.stable_graphs import Leg, StableGraph, Vertex, enumerate_splittings
+from nodaltrade.tensor_oracle import BilinearSpace, all_form_tensors, diagonal_row
 
 
 class Tagged(Fraction):
@@ -85,9 +99,11 @@ def _integer(argument, below=None, refusal=None):
 
 
 POINT = (Vertex(0, (1,)),)
+SYMPLECTIC_DIM_2 = BilinearSpace("symplectic", 1)
+N1_VECTOR = PairingVector(1, (1,))
 
-# every argument that takes an integer or a rational, with the value it is
-# given in and what each refused value must raise
+# every gated argument, with the value it is given in and what each refused
+# value must raise: an InvalidInputError unless a third entry names the error
 GATED = {
     "Pairing": (lambda v: Pairing(((v, 1),)),
                 _integer("pairing entry", 0, "pairs must cover 1..2 exactly once, got ((0, 1),)")),
@@ -198,14 +214,65 @@ GATED = {
                          [(5, "coordinates must be a sequence of ints and Fractions, got 5"),
                           ((0.5, 0, 0), "coordinate must be an int or a Fraction, got 0.5"),
                           ((True,), "coordinate must be an int or a Fraction, got True")]),
+    "CohRing.labels": (lambda v: CohRing("bad", v, (0,), ((1,),)),
+                       [(5, "model bad: labels must be a sequence of strings, got 5"),
+                        ((1,), "model bad: a basis label must be a string, got 1"),
+                        (("a", "a"), "model bad: basis labels must be distinct, got ('a', 'a')")],
+                       InvalidModelError),
+    "CohRing.pairing": (lambda v: CohRing("bad", ("1",), (0,), v),
+                        [(5, "model bad: pairing must be a sequence of rows, got 5"),
+                         ((5,), "model bad: pairing row must be a sequence, got 5")],
+                        InvalidModelError),
+    "CohRing.curve_labels": (lambda v: CohRing("bad", ("1",), (0,), ((1,),), v),
+                             [(5, "model bad: curve labels must be a sequence, got 5")],
+                             InvalidModelError),
+    "CohRing.divisor_lattice": (
+        lambda v: CohRing("bad", ("1",), (0,), ((1,),), ("H",), ((1,),), v),
+        [(5, "model bad: the divisor lattice must be a mapping, got 5"),
+         ((("1", (1,)),), "model bad: the divisor lattice must be a mapping, got (('1', (1,)),)")],
+        InvalidModelError),
+    "make_insertions.classes": (lambda v: make_insertions(load_model("p2"), v),
+                                [(5, "classes must be a sequence, got 5")]),
+    "make_insertions.psis": (lambda v: make_insertions(load_model("p2"), ["p"], v),
+                             [(5, "psis must be a sequence of psi powers, got 5")]),
+    "CohRing.intersect.shape": (lambda v: load_model("p2").intersect(*v),
+                                [(((1, 2), "H"), "curve class must have 1 coordinates in p2"),
+                                 (((1,), "p"), "divisor classes must have degree 2")]),
+    "CohRing.class_coords": (lambda v: load_model("p2").class_coords(v),
+                             [("q", "unknown class 'q' in model p2"),
+                              ((1, 0), "class coordinates must have length 3 in model p2")]),
+    "CohRing.degree_of": (
+        lambda v: load_model("p2").degree_of(v),
+        [((1, 1, 0), "class is not homogeneous: (Fraction(1, 1), Fraction(1, 1), Fraction(0, 1))")]),
+    "LoopMatrix.apply": (lambda v: build_loop_matrix(2, 1).apply(v),
+                         [(N1_VECTOR, "vector size does not match matrix")]),
+    "restricted_inverse_apply": (lambda v: restricted_inverse_apply(2, "symplectic", 1, v),
+                                 [(N1_VECTOR, "vector has n=1, expected 2")]),
+    "recover": (lambda v: recover(v, 2, SYMPLECTIC_DIM_2),
+                [(N1_VECTOR, "contraction vector size does not match n")]),
+    "isotypic_component": (lambda v: isotypic_component(PairingVector(2, (1, 0, 0)), v),
+                           [(Partition((3,)), "(3) does not index a block for n=2")]),
+    "diagonal_row": (lambda v: diagonal_row(v, SYMPLECTIC_DIM_2),
+                     [(all_form_tensors(1, BilinearSpace("symplectic", 2))[0],
+                       "tensor has dim 4, the space has dim 2")]),
+    "evaluate_plane_invariant": (evaluate_plane_invariant,
+                                 [(InsertionList(1, (3,), ()),
+                                   "the plane evaluator covers genus-0 nodeless terms")]),
+    "evaluate_plane_invariant.leftover": (
+        lambda v: evaluate_plane_invariant(InsertionList(0, (1,), (Insertion(v),))),
+        [((0, 2, 0), "leftover insertions are not point classes")], UnsupportedCaseError),
+    "_cubic_options": (_cubic_options, [((2,), "the bundled splitter only covers class (3,)")]),
+    "enumerate_splittings": (
+        lambda v: enumerate_splittings(StableGraph(v, ((0, 1),), ()), cubic_scenario()),
+        [((Vertex(0, (1,)), Vertex(0, (2,))), "splitting enumeration expects a one-vertex parent")]),
 }
 
 
 @pytest.mark.parametrize("name", list(GATED))
 def test_every_number_argument_is_refused_by_its_gate(name):
-    call, refusals = GATED[name]
+    call, refusals, *error = GATED[name]
     for value, message in refusals:
-        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(error[0] if error else InvalidInputError, match=f"^{re.escape(message)}$"):
             call(value)
 
 
@@ -221,4 +288,10 @@ def test_a_generator_gives_what_its_tuple_gives():
 def test_only_the_integer_gate_decides_what_an_integer_is():
     package = Path(nodaltrade.__file__).parent
     holders = sorted(f.name for f in package.glob("*.py") if "must be an integer" in f.read_text())
+    assert holders == ["rationals.py"]
+
+
+def test_only_the_sequence_gate_decides_what_a_sequence_is():
+    package = Path(nodaltrade.__file__).parent
+    holders = sorted(f.name for f in package.glob("*.py") if "must be a sequence" in f.read_text())
     assert holders == ["rationals.py"]
