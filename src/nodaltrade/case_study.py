@@ -304,13 +304,13 @@ def evaluate_plane_invariant(term: InsertionList, table: OracleTable | None = No
         recorder.append({"key": "p2.cubic.9pts", "value": value, "provenance": provenance})
         return value
     factor = Fraction(1)
-    h = ring.class_coords("H")
+    h, p = ring.class_coords("H"), ring.class_coords("p")
     while any(i.coords == h for i in term.insertions):
         f, term = divisor_reduce(term, "H", ring)
         factor *= f
     d = term.curve_class[0]
     points = len(term.insertions)
-    if any(i.coords != ring.class_coords("p") for i in term.insertions):
+    if any(i.coords != p for i in term.insertions):
         raise UnsupportedCaseError("leftover insertions are not point classes")
     if points != 3 * d - 1:
         recorder.append(

@@ -20,7 +20,7 @@ from . import linalg, read_bundled
 from .errors import InvalidInputError, InvalidModelError, UnsupportedCaseError
 from .frozen import Frozen
 from .rationals import (as_rational, format_rational, integer_argument, integer_sequence,
-                        sequence_argument)
+                        over_common_denominator, sequence_argument)
 
 
 def _join_terms(terms) -> str:
@@ -30,12 +30,32 @@ def _join_terms(terms) -> str:
     return terms[0] + "".join(t if t.startswith("-") else "+" + t for t in terms[1:])
 
 
+def _not_text(name, what, row):
+    """A row of model data as given; a string is refused, not read as its characters."""
+    if isinstance(row, str):
+        raise InvalidModelError(
+            f"model {name}: {what} entries must be rationals: refusing the string row {row!r}"
+        )
+    return row
+
+
 def _rational_rows(name, what, rows) -> tuple[tuple[Fraction, ...], ...]:
     """Model data as rows of Fractions; a refusal names the model."""
     try:
-        return tuple(tuple(map(as_rational, row)) for row in rows)
+        return tuple(tuple(map(as_rational, _not_text(name, what, row))) for row in rows)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidModelError(f"model {name}: {what} entries must be rationals: {exc}") from exc
+
+
+def _distinct_strings(name, values, what, each, of=""):
+    """A sequence of distinct `str` labels; each refusal names the model."""
+    values = sequence_argument(f"model {name}: {what}", values, of, InvalidModelError)
+    for value in values:
+        if not isinstance(value, str):
+            raise InvalidModelError(f"model {name}: a {each} must be a string, got {value!r}")
+    if len(set(values)) != len(values):
+        raise InvalidModelError(f"model {name}: {each}s must be distinct, got {values}")
+    return values
 
 
 def _curve_rank(name, curve_labels) -> int:
@@ -44,12 +64,30 @@ def _curve_rank(name, curve_labels) -> int:
     return len(curve_labels)
 
 
-class CohRing(Frozen, derived=("duals", "divisor_rows")):
+def _divisor_refusal(name, labels, rows, coords, degree):
+    """The refusal `intersect` gives a class of that degree over that divisor table,
+    in its order, or None when the table covers the class."""
+    if degree != 2:
+        return InvalidInputError("divisor classes must have degree 2")
+    if rows is None:
+        return InvalidModelError(f"model {name} carries no divisor lattice data")
+    for lab, c, row in zip(labels, coords, rows):
+        if c and row is None:
+            return InvalidModelError(f"model {name}: no lattice vector for divisor {lab!r}")
+    return None
+
+
+class CohRing(Frozen, derived=("duals", "units", "divisor_den", "divisor_rows", "middle_rows")):
     """A finite model of a cohomology ring with Poincare pairing.
 
-    The dual basis is fixed at construction: `duals[j]` is the class with
-    pair(delta_i, duals[j]) = kronecker(i, j).  So is the divisor table: a curve
-    class meets basis class i in its dot product with `divisor_rows[i]` = I . L_i.
+    Everything the node-splitting path reads is composed once, at construction.
+    `duals[j]` is the class with pair(delta_i, duals[j]) = kronecker(i, j), and
+    `units[j]` is delta_j itself.  The divisor table holds integers over one
+    ring-wide denominator `divisor_den`: a curve class meets basis class i in its
+    dot product with `divisor_rows[i]` = den * I . L_i.  For each degree-2 class j,
+    `middle_rows` holds, over the same denominator, the row of delta_j and the row
+    of its dual, sum_i duals[j][i] * I . L_i; where the data cannot fill them it
+    holds the refusal `intersect` would give instead.
     """
 
     __slots__ = (
@@ -61,7 +99,10 @@ class CohRing(Frozen, derived=("duals", "divisor_rows")):
         "intersection_matrix",
         "divisor_lattice",  # basis label -> curve-lattice vector, read-only
         "duals",
+        "units",
+        "divisor_den",
         "divisor_rows",
+        "middle_rows",
     )
 
     def __init__(
@@ -74,18 +115,16 @@ class CohRing(Frozen, derived=("duals", "divisor_rows")):
         intersection_matrix=None,
         divisor_lattice=None,
     ):
-        labels = sequence_argument(f"model {name}: labels", labels, " of strings", InvalidModelError)
-        for lab in labels:
-            if not isinstance(lab, str):
-                raise InvalidModelError(f"model {name}: a basis label must be a string, got {lab!r}")
-        if len(set(labels)) != len(labels):
-            raise InvalidModelError(f"model {name}: basis labels must be distinct, got {labels}")
+        labels = _distinct_strings(name, labels, "labels", "basis label", " of strings")
+        if not labels:
+            raise InvalidModelError(f"model {name}: the basis needs at least one label")
         size = len(labels)
         degrees = integer_sequence("degrees", degrees, "degree", 0)
         pairing = sequence_argument(f"model {name}: pairing", pairing, " of rows", InvalidModelError)
         if len(degrees) != size or len(pairing) != size:
             raise InvalidModelError(f"model {name}: inconsistent basis data")
-        rows = [sequence_argument(f"model {name}: pairing row", row, error=InvalidModelError)
+        rows = [sequence_argument(f"model {name}: pairing row", _not_text(name, "pairing", row),
+                                  error=InvalidModelError)
                 for row in pairing]
         if any(len(row) != size for row in rows):
             raise InvalidModelError(
@@ -93,9 +132,7 @@ class CohRing(Frozen, derived=("duals", "divisor_rows")):
             )
         pairing = _rational_rows(name, "pairing", rows)
         if curve_labels is not None:
-            curve_labels = sequence_argument(
-                f"model {name}: curve labels", curve_labels, error=InvalidModelError
-            )
+            curve_labels = _distinct_strings(name, curve_labels, "curve labels", "curve label")
         if intersection_matrix is not None:
             intersection_matrix = _rational_rows(name, "intersection matrix", intersection_matrix)
             r = _curve_rank(name, curve_labels)
@@ -103,7 +140,7 @@ class CohRing(Frozen, derived=("duals", "divisor_rows")):
                 raise InvalidModelError(
                     f"model {name}: intersection matrix must be {r} x {r}, one entry per curve label"
                 )
-        divisor_rows = None
+        lattice_rows = None
         if divisor_lattice is not None:
             if not isinstance(divisor_lattice, Mapping):
                 raise InvalidModelError(
@@ -120,24 +157,43 @@ class CohRing(Frozen, derived=("duals", "divisor_rows")):
                     )
             if intersection_matrix is None:
                 raise InvalidModelError(f"model {name}: a divisor lattice needs an intersection matrix")
-            divisor_rows = tuple(
+            lattice_rows = tuple(
                 None if (vec := divisor_lattice.get(lab)) is None
                 else tuple(sum(map(mul, row, vec)) for row in intersection_matrix)
                 for lab in labels
             )
         # one kernel of [G | -I] both proves G nonsingular and inverts it: its
         # basis vector with free part e_j is (G^-1 e_j, e_j)
-        identity = [[int(i == j) for j in range(size)] for i in range(size)]
-        kernel = linalg.nullspace([[*row, *(-e for e in unit)] for row, unit in zip(pairing, identity)])
-        if [list(v[size:]) for v in kernel] != identity:
+        units = tuple(tuple(Fraction(int(i == j)) for j in range(size)) for i in range(size))
+        kernel = linalg.nullspace([[*row, *(-e for e in unit)] for row, unit in zip(pairing, units)])
+        if [v[size:] for v in kernel] != list(units):
             raise InvalidModelError(f"model {name}: pairing is singular")
         top = max(degrees)
         for i in range(size):
             for j in range(size):
                 if pairing[i][j] and degrees[i] + degrees[j] != top:
                     raise InvalidModelError(f"model {name}: pairing violates degree complementarity")
+        duals = tuple(v[:size] for v in kernel)
+        # each degree-2 class j: the refusal its pair of rows meets first, or the rows
+        # of delta_j and of its dual, which has degree top - 2 by complementarity
+        middle = [
+            _divisor_refusal(name, labels, lattice_rows, units[j], 2)
+            or _divisor_refusal(name, labels, lattice_rows, duals[j], top - 2)
+            or (lattice_rows[j], [sum(c * row[a] for c, row in zip(duals[j], lattice_rows) if c)
+                                  for a in range(len(curve_labels))])
+            for j in range(size) if degrees[j] == 2
+        ]
+        # then every row as integers over one denominator
+        filled = [rows for rows in (lattice_rows or (), *middle) if rows.__class__ is tuple]
+        _, den = over_common_denominator([x for rows in filled for row in rows if row for x in row])
+
+        def scaled(row):
+            return None if row is None else tuple((x * den).numerator for x in row)
+
+        divisor_rows = lattice_rows and tuple(map(scaled, lattice_rows))
+        middle_rows = tuple(m if m.__class__ is not tuple else tuple(map(scaled, m)) for m in middle)
         self._set(name, labels, degrees, pairing, curve_labels, intersection_matrix,
-                  divisor_lattice, tuple(v[:size] for v in kernel), divisor_rows)
+                  divisor_lattice, duals, units, den, divisor_rows, middle_rows)
 
     @property
     def size(self) -> int:
@@ -150,13 +206,13 @@ class CohRing(Frozen, derived=("duals", "divisor_rows")):
     def basis_vector(self, i: int) -> tuple[Fraction, ...]:
         if integer_argument("basis index", i) not in range(self.size):
             raise InvalidInputError(f"basis index {i} out of range 0..{self.size - 1}")
-        return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.size))
+        return self.units[i]
 
     def class_coords(self, cls) -> tuple[Fraction, ...]:
         """Resolve a label or a sequence of rational coordinates."""
         if isinstance(cls, str):
             try:
-                return self.basis_vector(self.labels.index(cls))
+                return self.units[self.labels.index(cls)]
             except ValueError as exc:
                 raise InvalidInputError(
                     f"unknown class {cls!r} in model {self.name}"
@@ -217,25 +273,26 @@ class CohRing(Frozen, derived=("duals", "divisor_rows")):
             [lab if c == 1 else f"{c}{lab}" for c, lab in zip(curve, self.curve_labels) if c]
         )
 
-    def intersect(self, curve, divisor) -> Fraction:
-        """Intersection number of a curve class with a degree-2 class."""
+    def _curve_argument(self, curve) -> tuple[int, ...]:
+        """A curve class of this ring: a sequence of curve-rank integers."""
         curve = integer_sequence("curve class", curve, "class entry", within=self.name)
         if len(curve) != self.curve_rank:
             raise InvalidInputError(
                 f"curve class must have {self.curve_rank} coordinates in {self.name}"
             )
+        return curve
+
+    def intersect(self, curve, divisor) -> Fraction:
+        """Intersection number of a curve class with a degree-2 class."""
+        curve = self._curve_argument(curve)
         coords = self.class_coords(divisor)
-        if self._degree(coords) != 2:
-            raise InvalidInputError("divisor classes must have degree 2")
-        if self.divisor_rows is None:
-            raise InvalidModelError(f"model {self.name} carries no divisor lattice data")
-        total = Fraction(0)
-        for lab, c, row in zip(self.labels, coords, self.divisor_rows):
-            if c:
-                if row is None:
-                    raise InvalidModelError(f"model {self.name}: no lattice vector for divisor {lab!r}")
-                total += c * sum(map(mul, curve, row))
-        return total
+        degree = self._degree(coords)
+        refusal = _divisor_refusal(self.name, self.labels, self.divisor_rows, coords, degree)
+        if refusal is not None:
+            raise refusal
+        numerators, den = over_common_denominator(coords)
+        total = sum(c * sum(map(mul, curve, row)) for c, row in zip(numerators, self.divisor_rows) if c)
+        return Fraction(total, den * self.divisor_den)
 
 
 @lru_cache(maxsize=None)
@@ -268,7 +325,7 @@ def ring_from_json(name: str, raw: dict) -> CohRing:
 def kunneth_diagonal(ring: CohRing) -> list[tuple[tuple, tuple]]:
     """Pairs (delta_j, delta_j dual) whose sum of tensor products is the
     diagonal class; the duals satisfy pair(delta_i, dual_j) = kronecker."""
-    return [(ring.basis_vector(j), dual) for j, dual in enumerate(ring.duals)]
+    return list(zip(ring.units, ring.duals))
 
 
 class Insertion(Frozen):
@@ -355,15 +412,21 @@ def middle_diagonal_divisor_factor(ring: CohRing, curve_class) -> Fraction:
     """Divisor factor of a split node on a surface: sum over middle-degree
     diagonal terms of (beta . delta)(beta . dual).
 
-    Recomputed from intersection data on purpose; the worked example's
-    factor list depends on these numbers coming out of the lattice, not a
-    table.
+    Computed on every call, as integer dot products of the curve class with the
+    rows `ring.middle_rows` composed from the lattice at construction, over the
+    square of the ring's one denominator; nothing is remembered per curve class.
+    The worked example's factor list depends on these numbers coming out of the
+    lattice, not a table.  A row the ring's data could not fill raises the
+    refusal `intersect` gives.
     """
-    total = Fraction(0)
-    for j, (delta, dual) in enumerate(kunneth_diagonal(ring)):
-        if ring.degrees[j] == 2:
-            total += ring.intersect(curve_class, delta) * ring.intersect(curve_class, dual)
-    return total
+    curve = ring._curve_argument(curve_class)
+    total = 0
+    for rows in ring.middle_rows:
+        if rows.__class__ is not tuple:
+            raise rows.__class__(*rows.args)
+        delta, dual = rows
+        total += sum(map(mul, curve, delta)) * sum(map(mul, curve, dual))
+    return Fraction(total, ring.divisor_den ** 2)
 
 
 def kunneth_reorder_sign(degrees, sides) -> int:

@@ -25,6 +25,7 @@ from nodaltrade.cohomology import (
 from nodaltrade.errors import (
     InvalidInputError,
     InvalidModelError,
+    NodalTradeError,
     UnsupportedCaseError,
 )
 from nodaltrade.linalg import mat_vec, rank
@@ -363,6 +364,77 @@ def test_middle_divisor_factors():
     assert middle_diagonal_divisor_factor(f1, (0, 1)) == 0
 
 
+
+def _middle_reference(ring, curve):
+    """sum_j (beta . delta_j)(beta . dual_j) over the degree-2 classes, in Fractions
+    straight from the intersection matrix, the divisor lattice and the duals."""
+    return sum(
+        _lattice_intersection(ring, curve, [int(i == j) for i in range(ring.size)])
+        * _lattice_intersection(ring, curve, ring.duals[j])
+        for j in range(ring.size) if ring.degrees[j] == 2
+    )
+
+
+def _fractional_rings():
+    """A plane and an f1 whose lattice data have negative non-integer entries."""
+    f1 = load_model("f1")
+    return [
+        plane(intersection_matrix=(("1/2",),), divisor_lattice={"H": ("-2/3",)}),
+        f1.replace(intersection_matrix=(("1/2", "-1/3"), ("-1/3", "2")),
+                   divisor_lattice={"D0": ("-2/3", "1/5"), "F": ("3/7", "-1")}),
+    ]
+
+
+def test_middle_divisor_factor_matches_the_lattice_reference():
+    rings = [load_model("p2"), load_model("f1"), *_fractional_rings()]
+    assert [ring.divisor_den for ring in rings] == [1, 1, 3, 630]  # lcm(5, 45, 42, 7)
+    for ring in rings:
+        for curve in itertools.product(range(-3, 4), repeat=ring.curve_rank):
+            got = middle_diagonal_divisor_factor(ring, curve)
+            assert got.__class__ is Fraction
+            assert got == _middle_reference(ring, curve)
+
+
+def test_intersect_returns_a_fraction_over_the_ring_denominator():
+    ring, f1 = _fractional_rings()
+    assert ring.divisor_rows == (None, (-1,), None)
+    got = ring.intersect((2,), "H")
+    assert got.__class__ is Fraction and got == Fraction(-2, 3)
+    coords = (0, Fraction(1, 2), Fraction(-3, 5), 0)
+    for curve in itertools.product(range(-2, 3), repeat=2):
+        got = f1.intersect(curve, coords)
+        assert got.__class__ is Fraction and got == _lattice_intersection(f1, curve, coords)
+
+
+def test_middle_divisor_factor_reads_the_rows_not_intersect(monkeypatch):
+    from nodaltrade import cohomology
+
+    def refused(*args):
+        raise AssertionError("the middle factor reads the rows composed at construction")
+
+    monkeypatch.setattr(cohomology.CohRing, "intersect", refused)
+    monkeypatch.setattr(cohomology, "kunneth_diagonal", refused)
+    assert middle_diagonal_divisor_factor(load_model("f1"), (1, 3)) == 5
+
+
+def test_middle_divisor_factor_refuses_as_intersect_does():
+    p1 = CohRing("p1l", ("1", "pt"), (0, 2), ((0, 1), (1, 0)), ("L",), (("1",),), {"pt": ("1",)})
+    f1 = load_model("f1")
+    for ring in (plane(divisor_lattice={}), plane(divisor_lattice=None), p1,
+                 f1.replace(divisor_lattice={"D0": f1.divisor_lattice["D0"]})):
+        curve = (1,) * ring.curve_rank
+        with pytest.raises(NodalTradeError) as refusal:
+            for delta, dual in kunneth_diagonal(ring):
+                if ring.degree_of(delta) == 2:
+                    ring.intersect(curve, delta)
+                    ring.intersect(curve, dual)
+        message = f"^{re.escape(str(refusal.value))}$"
+        with pytest.raises(refusal.type, match=message):
+            middle_diagonal_divisor_factor(ring, curve)
+    # the middle class of p1 has a degree-0 dual; an empty lattice misses 'H'
+    assert [str(r) for r in (p1.middle_rows[0], plane(divisor_lattice={}).middle_rows[0])] == [
+        "divisor classes must have degree 2", "model plane: no lattice vector for divisor 'H'"]
+
 def test_reorder_sign():
     # all even degrees: always +1
     assert kunneth_reorder_sign((4, 4, 4, 4), (1, 2, 1, 2)) == 1
@@ -460,9 +532,14 @@ LATTICE_SHAPE = "model plane: the divisor lattice must map basis labels to vecto
         (dict(curve_labels=None), "model plane carries no curve-class lattice"),
         (dict(intersection_matrix=None),
          "model plane: a divisor lattice needs an intersection matrix"),
+        (dict(intersection_matrix=("1",)),
+         "model plane: intersection matrix entries must be rationals: refusing the string row '1'"),
+        (dict(divisor_lattice={"H": "1"}),
+         "model plane: divisor lattice entries must be rationals: refusing the string row '1'"),
     ],
     ids=["float-matrix", "float-lattice", "unparseable-string", "wide-matrix", "tall-matrix",
-         "long-lattice-vector", "unknown-divisor", "no-curve-labels", "lattice-without-matrix"],
+         "long-lattice-vector", "unknown-divisor", "no-curve-labels", "lattice-without-matrix",
+         "string-matrix-row", "string-lattice-vector"],
 )
 def test_curve_lattice_data_is_refused_naming_the_model(data, message):
     # a float used to pass through: intersect((2,), "H") gave 1.0 and 0.5

@@ -136,6 +136,17 @@ GATED = {
     "middle_diagonal_divisor_factor": (
         lambda v: middle_diagonal_divisor_factor(load_model("p2"), (v,)),
         [(0.1, "class entry must be an integer, got 0.1")]),
+    "middle_diagonal_divisor_factor.point": (
+        lambda v: middle_diagonal_divisor_factor(load_model("point"), v),
+        [("x", "class entry must be an integer, got 'x'"),
+         ((1.5,), "class entry must be an integer, got 1.5"),
+         (None, "curve class must be a sequence of integers in point, got None")]),
+    "middle_diagonal_divisor_factor.lattice": (
+        lambda v: middle_diagonal_divisor_factor(load_model("point"), v),
+        [((1,), "model point carries no curve-class lattice")], InvalidModelError),
+    "middle_diagonal_divisor_factor.rank": (
+        lambda v: middle_diagonal_divisor_factor(load_model("f1"), v),
+        [((1,), "curve class must have 2 coordinates in f1")]),
     "divisor_reduce": (
         lambda v: divisor_reduce(
             InsertionList(0, (v,), make_insertions(load_model("p2"), ["H"])), "H", load_model("p2")),
@@ -217,14 +228,19 @@ GATED = {
     "CohRing.labels": (lambda v: CohRing("bad", v, (0,), ((1,),)),
                        [(5, "model bad: labels must be a sequence of strings, got 5"),
                         ((1,), "model bad: a basis label must be a string, got 1"),
-                        (("a", "a"), "model bad: basis labels must be distinct, got ('a', 'a')")],
+                        (("a", "a"), "model bad: basis labels must be distinct, got ('a', 'a')"),
+                        ((), "model bad: the basis needs at least one label")],
                        InvalidModelError),
     "CohRing.pairing": (lambda v: CohRing("bad", ("1",), (0,), v),
                         [(5, "model bad: pairing must be a sequence of rows, got 5"),
-                         ((5,), "model bad: pairing row must be a sequence, got 5")],
+                         ((5,), "model bad: pairing row must be a sequence, got 5"),
+                         (("1",),
+                          "model bad: pairing entries must be rationals: refusing the string row '1'")],
                         InvalidModelError),
     "CohRing.curve_labels": (lambda v: CohRing("bad", ("1",), (0,), ((1,),), v),
-                             [(5, "model bad: curve labels must be a sequence, got 5")],
+                             [(5, "model bad: curve labels must be a sequence, got 5"),
+                              ((1, 2.5), "model bad: a curve label must be a string, got 1"),
+                              (("H", "H"), "model bad: curve labels must be distinct, got ('H', 'H')")],
                              InvalidModelError),
     "CohRing.divisor_lattice": (
         lambda v: CohRing("bad", ("1",), (0,), ((1,),), ("H",), ((1,),), v),
