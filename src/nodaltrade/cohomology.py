@@ -269,6 +269,7 @@ class CohRing(Frozen, derived=("duals", "units", "divisor_den", "divisor_rows", 
         return _curve_rank(self.name, self.curve_labels)
 
     def curve_label(self, curve) -> str:
+        curve = self._curve_argument(curve)
         return _join_terms(
             [lab if c == 1 else f"{c}{lab}" for c, lab in zip(curve, self.curve_labels) if c]
         )
@@ -295,10 +296,16 @@ class CohRing(Frozen, derived=("duals", "units", "divisor_den", "divisor_rows", 
         return Fraction(total, den * self.divisor_den)
 
 
-@lru_cache(maxsize=None)
 def load_model(name: str) -> CohRing:
     """The ring model of that name in data/models.json, parsed and validated
     once and shared by every caller."""
+    if name.__class__ is not str:
+        raise InvalidInputError(f"model name must be a string, got {name!r}")
+    return _load_model(name)
+
+
+@lru_cache(maxsize=None)
+def _load_model(name: str) -> CohRing:
     models = read_bundled("models.json")
     if name not in models:
         raise InvalidInputError(f"unknown model {name!r}; bundled: {sorted(models)}")
@@ -306,16 +313,28 @@ def load_model(name: str) -> CohRing:
 
 
 def ring_from_json(name: str, raw: dict) -> CohRing:
-    curve_labels = imat = dlat = None
-    if "curve_classes" in raw:
-        curve_labels = tuple(raw["curve_classes"]["labels"])
-        imat = raw["intersections"]["matrix"]
-        dlat = raw["intersections"]["divisors"]
+    """A ring from its JSON form; a raw model that is not a mapping, or that
+    misses a key, raises InvalidModelError naming the model."""
+    if not isinstance(raw, Mapping):
+        raise InvalidModelError(f"model {name}: the model must be a mapping, got {raw!r}")
+    try:
+        curve_labels = imat = dlat = None
+        if "curve_classes" in raw:
+            curve_labels = tuple(raw["curve_classes"]["labels"])
+            imat = raw["intersections"]["matrix"]
+            dlat = raw["intersections"]["divisors"]
+        labels = tuple(b["label"] for b in raw["basis"])
+        degrees = tuple(b["degree"] for b in raw["basis"])
+        pairing = raw["pairing"]
+    except KeyError as exc:
+        raise InvalidModelError(f"model {name}: missing key {exc}") from exc
+    except TypeError as exc:
+        raise InvalidModelError(f"model {name}: malformed model: {exc}") from exc
     return CohRing(
         name=name,
-        labels=tuple(b["label"] for b in raw["basis"]),
-        degrees=tuple(b["degree"] for b in raw["basis"]),
-        pairing=raw["pairing"],
+        labels=labels,
+        degrees=degrees,
+        pairing=pairing,
         curve_labels=curve_labels,
         intersection_matrix=imat,
         divisor_lattice=dlat,

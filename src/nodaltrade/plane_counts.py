@@ -23,7 +23,6 @@ from .rationals import integer_argument, parse_rational, rational_argument
 KONTSEVICH_MAX_D = 100
 
 
-@lru_cache(maxsize=None)
 def kontsevich_nd(d: int) -> int:
     """Number of rational degree-d plane curves through 3d-1 general points.
 
@@ -40,14 +39,19 @@ def kontsevich_nd(d: int) -> int:
         raise ResourceLimitError(
             f"degree {d} exceeds the plane-count ceiling d <= {KONTSEVICH_MAX_D}"
         )
+    return _kontsevich_nd(d)
+
+
+@lru_cache(maxsize=None)
+def _kontsevich_nd(d: int) -> int:
     if d == 1:
         return 1
     total = 0
     for d1 in range(1, d):
         d2 = d - d1
         total += (
-            kontsevich_nd(d1)
-            * kontsevich_nd(d2)
+            _kontsevich_nd(d1)
+            * _kontsevich_nd(d2)
             * d1 ** 2
             * d2
             * (d2 * comb(3 * d - 4, 3 * d1 - 2) - d1 * comb(3 * d - 4, 3 * d1 - 1))
@@ -107,6 +111,8 @@ def lookup(key: str, table: OracleTable | None = None) -> Fraction:
 
 
 def lookup_with_provenance(key: str, table: OracleTable | None = None):
+    if key.__class__ is not str:
+        raise InvalidInputError(f"key must be a string, got {key!r}")
     table = table if table is not None else bundled_table()
     entry = table.entries.get(key)
     if entry is None:

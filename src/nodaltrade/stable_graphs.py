@@ -7,6 +7,14 @@ graph into a pair of relative graphs are enumerated under the guidance of
 a scenario-supplied class splitter and verified by re-gluing; each
 enumerated splitting carries its multiplicity factor, stabilizer order,
 and the bundle of parent-edge placements drawn as one case.
+
+The re-gluing check runs once per matching of relative legs, on the
+edgeless side graphs, against the parent without its edges.  That is
+exact because the parent has one vertex: a placement can re-glue to it
+only if contracting the gluing edges leaves one vertex, and then every
+parent edge, wherever it was placed, comes back as a loop there, as on
+the parent.  A placement thus re-glues to the parent exactly when its
+matching does.
 """
 
 from __future__ import annotations
@@ -155,19 +163,6 @@ def _class_sum(classes):
 def contract_edges(graph: StableGraph) -> StableGraph:
     """Contract every edge: one vertex per component, genus summed plus the
     component's first Betti number, classes summed, legs preserved."""
-    return contract_marked_edges(graph, tuple(range(len(graph.edges))))
-
-
-def contract_marked_edges(graph: StableGraph, marked: tuple[int, ...]) -> StableGraph:
-    """Contract only the edges at the given indices, keeping the others.
-
-    One vertex per component of the marked edges, genus summed plus the
-    component's first Betti number, classes summed, legs preserved.  The
-    re-gluing check marks only the new gluing edges, so the parent's own
-    edges survive.
-    """
-    marked_set = set(marked)
-    sub_edges = [graph.edges[i] for i in marked_set]
     parent = list(range(len(graph.vertices)))
 
     def find(x):
@@ -176,7 +171,7 @@ def contract_marked_edges(graph: StableGraph, marked: tuple[int, ...]) -> Stable
             x = parent[x]
         return x
 
-    for a, b in sub_edges:
+    for a, b in graph.edges:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
@@ -188,20 +183,15 @@ def contract_marked_edges(graph: StableGraph, marked: tuple[int, ...]) -> Stable
     new_vertices = []
     for ci, comp in enumerate(comps):
         comp_set = set(comp)
-        inside = sum(1 for a, b in sub_edges if a in comp_set and b in comp_set)
+        inside = sum(1 for a, b in graph.edges if a in comp_set)
         betti = inside - len(comp) + 1
         genus = sum(graph.vertices[v].genus for v in comp) + betti
         cls = _class_sum(graph.vertices[v].cls for v in comp)
         for v in comp:
             index_of[v] = ci
         new_vertices.append(Vertex(genus, cls))
-    kept_edges = tuple(
-        (index_of[a], index_of[b])
-        for i, (a, b) in enumerate(graph.edges)
-        if i not in marked_set
-    )
     new_legs = tuple(l.replace(vertex=index_of[l.vertex]) for l in graph.legs)
-    return StableGraph(tuple(new_vertices), kept_edges, new_legs)
+    return StableGraph(tuple(new_vertices), (), new_legs)
 
 
 def graph_isomorphic(g1: StableGraph, g2: StableGraph) -> bool:
@@ -303,49 +293,32 @@ def _relabelings(a, b, ell: int):
             yield perm
 
 
-def _push_graph(graph: StableGraph, push) -> StableGraph:
-    vertices = tuple(Vertex(v.genus, tuple(push(v.cls))) for v in graph.vertices)
-    return StableGraph(vertices, graph.edges, graph.legs)
-
-
 def _reglue(gamma1: StableGraph, gamma2: StableGraph, scenario) -> StableGraph:
-    """Glue matched relative legs into edges, then contract the new edges."""
-    p1 = _push_graph(gamma1, scenario.push1)
-    p2 = _push_graph(gamma2, scenario.push2)
-    offset = len(p1.vertices)
-    vertices = p1.vertices + p2.vertices
-    edges = list(p1.edges) + [(a + offset, b + offset) for a, b in p2.edges]
-    legs = []
-    rel1 = {}
-    rel2 = {}
-    for l in p1.legs:
-        if l.kind == RELATIVE:
-            rel1[l.marking] = l.vertex
-        else:
-            legs.append(l)
-    for l in p2.legs:
-        if l.kind == RELATIVE:
-            rel2[l.marking] = l.vertex + offset
-        else:
-            legs.append(l.replace(vertex=l.vertex + offset))
-    if sorted(rel1) != sorted(rel2):
+    """Push two edgeless sides to the parent's lattice, glue their matched
+    relative legs into edges, then contract those edges."""
+    vertices, legs, rel = [], [], ({}, {})
+    for side, (g, push) in enumerate(((gamma1, scenario.push1), (gamma2, scenario.push2))):
+        shift = len(vertices)
+        vertices += [Vertex(v.genus, tuple(push(v.cls))) for v in g.vertices]
+        for l in g.legs:
+            if l.kind == RELATIVE:
+                rel[side][l.marking] = l.vertex + shift
+            else:
+                legs.append(l.replace(vertex=l.vertex + shift))
+    if sorted(rel[0]) != sorted(rel[1]):
         raise InvalidInputError("relative legs of the two sides do not match up")
-    new_edge_indices = []
-    for label in sorted(rel1):
-        new_edge_indices.append(len(edges))
-        edges.append((rel1[label], rel2[label]))
-    glued = StableGraph(tuple(vertices), tuple(edges), tuple(legs))
-    return contract_marked_edges(glued, tuple(new_edge_indices))
+    edges = tuple((rel[0][label], rel[1][label]) for label in sorted(rel[0]))
+    return contract_edges(StableGraph(tuple(vertices), edges, tuple(legs)))
 
 
-def _side_graph(specs, side_markings, rel_assignment, extra_edges=()):
-    """Build one side's graph: interior legs sit on the first vertex,
-    relative legs follow the matching assignment, parent edges as given."""
+def _side_graph(specs, side_markings, rel_assignment):
+    """Build one side's edgeless graph: interior legs sit on the first
+    vertex, relative legs follow the matching assignment."""
     vertices = tuple(Vertex(s.genus, s.cls) for s in specs)
     legs = [Leg(vertex=0, marking=m) for m in side_markings]
     for label, (v, mult) in sorted(rel_assignment.items()):
         legs.append(Leg(vertex=v, marking=label, kind=RELATIVE, multiplicity=mult))
-    return StableGraph(vertices, tuple(extra_edges), tuple(legs))
+    return StableGraph(vertices, (), tuple(legs))
 
 
 def _contact_slots(specs):
@@ -359,7 +332,7 @@ def _contact_slots(specs):
 
 def _edge_placements(n_vertices: int):
     """All ways one parent edge can sit on a side: loops and bridges."""
-    placements = [("loop", (v,)) for v in range(n_vertices)]
+    placements = [("loop", (v, v)) for v in range(n_vertices)]
     placements += [("bridge", pair) for pair in itertools.combinations(range(n_vertices), 2)]
     return placements
 
@@ -375,13 +348,14 @@ def enumerate_splittings(
     each parent edge is placed on either side as a loop or a bridge.
     Placements that differ only in the choice of vertex within one side
     are bundled into a single case, mirroring how such cases are counted
-    in one factor list.  Every variant must re-glue to the parent.
+    in one factor list.  Each matching must re-glue to the parent.
     """
     if len(parent.vertices) != 1:
         raise InvalidInputError("splitting enumeration expects a one-vertex parent")
     parent_class = parent.vertices[0].cls
     markings1 = sorted(l.marking for l in parent.legs if scenario.leg_side[l.marking] == 1)
     markings2 = sorted(l.marking for l in parent.legs if scenario.leg_side[l.marking] == 2)
+    parent_curve = StableGraph(parent.vertices, (), parent.legs)
 
     results: list[Splitting] = []
     for opt in scenario.options(parent_class):
@@ -399,10 +373,10 @@ def enumerate_splittings(
         ell = len(slots1)
         classes = tuple(sorted(spec.cls for spec in opt.side1))
 
-        matchings = _distinct_matchings(opt, slots1, slots2, markings1, markings2, ell)
-        for rel1, rel2 in matchings:
-            bundles = _placement_bundles(parent, opt, rel1, rel2, markings1, markings2, scenario)
-            for edge_places, bundle in bundles.items():
+        for sides in _distinct_matchings(opt, slots1, slots2, markings1, markings2, ell):
+            if not graph_isomorphic(_reglue(*sides, scenario), parent_curve):
+                continue
+            for edge_places, bundle in _placement_bundles(parent, sides).items():
                 variants = tuple(bundle)
                 g1, g2 = variants[0]
                 aut = sum(1 for _ in _relabelings((g1, g2), (g1, g2), ell))
@@ -422,40 +396,37 @@ def enumerate_splittings(
 
 
 def _distinct_matchings(opt, slots1, slots2, markings1, markings2, ell):
-    """Mult-preserving bijections between contact slots, up to relabeling."""
+    """Mult-preserving bijections between contact slots, up to relabeling,
+    as the pairs of edgeless side graphs they give."""
     seen = []
     for perm in itertools.permutations(range(ell)):
         if any(slots1[i][1] != slots2[perm[i]][1] for i in range(ell)):
             continue
-        rel1 = {i + 1: slots1[i] for i in range(ell)}
-        rel2 = {i + 1: slots2[perm[i]] for i in range(ell)}
-        g1 = _side_graph(opt.side1, markings1, rel1)
-        g2 = _side_graph(opt.side2, markings2, rel2)
-        if any(next(_relabelings((g1, g2), old, ell), None) is not None for old, _, _ in seen):
-            continue
-        seen.append(((g1, g2), rel1, rel2))
-    return [(rel1, rel2) for _, rel1, rel2 in seen]
+        g1 = _side_graph(opt.side1, markings1, {i + 1: slots1[i] for i in range(ell)})
+        g2 = _side_graph(opt.side2, markings2, {i + 1: slots2[perm[i]] for i in range(ell)})
+        if all(next(_relabelings((g1, g2), old, ell), None) is None for old in seen):
+            seen.append((g1, g2))
+    return seen
 
 
-def _placement_bundles(parent, opt, rel1, rel2, markings1, markings2, scenario):
-    """Valid parent-edge placements, bundled under their (side, kind) per
-    parent edge.  A parent without edges has one, empty, placement."""
-    choices = [(1, kind, where) for kind, where in _edge_placements(len(opt.side1))]
-    choices += [(2, kind, where) for kind, where in _edge_placements(len(opt.side2))]
+def _placement_bundles(parent, sides):
+    """Stable placements of the parent's edges on the matching's side
+    graphs, bundled under their (side, kind) per parent edge.  A parent
+    without edges has one, empty, placement."""
+    choices = [
+        (side, kind, edge)
+        for side, g in enumerate(sides, 1)
+        for kind, edge in _edge_placements(len(g.vertices))
+    ]
     bundles: dict[tuple, list] = {}
     for assignment in itertools.product(choices, repeat=len(parent.edges)):
-        extra = {1: [], 2: []}
-        for side, kind, where in assignment:
-            extra[side].append((where[0], where[0]) if kind == "loop" else where)
-        g1 = _side_graph(opt.side1, markings1, rel1, tuple(extra[1]))
-        g2 = _side_graph(opt.side2, markings2, rel2, tuple(extra[2]))
-        if not (g1.is_stable() and g2.is_stable()):
-            continue
-        reglued = _reglue(g1, g2, scenario)
-        if not graph_isomorphic(reglued, parent):
-            continue
-        key = tuple((side, kind) for side, kind, _ in assignment)
-        bundles.setdefault(key, []).append((g1, g2))
+        g1, g2 = (
+            StableGraph(g.vertices, tuple(e for s, _, e in assignment if s == side), g.legs)
+            for side, g in enumerate(sides, 1)
+        )
+        if g1.is_stable() and g2.is_stable():
+            key = tuple((side, kind) for side, kind, _ in assignment)
+            bundles.setdefault(key, []).append((g1, g2))
     return bundles
 
 

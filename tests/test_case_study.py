@@ -17,6 +17,14 @@ from nodaltrade.case_study import (
 from nodaltrade.cohomology import InsertionList, load_model, make_insertions
 from nodaltrade.errors import InvalidInputError
 from nodaltrade.plane_counts import bundled_table
+from nodaltrade.stable_graphs import (
+    RELATIVE,
+    Leg,
+    StableGraph,
+    Vertex,
+    enumerate_splittings,
+    graph_isomorphic,
+)
 
 EXPECTED = {
     "i": Fraction(3),
@@ -159,14 +167,45 @@ def test_parent_graph_shape():
     assert len(g.legs) == 8
 
 
-def test_every_variant_reglues_to_parent():
-    from nodaltrade.stable_graphs import _reglue, graph_isomorphic
+def reference_reglue(gamma1, gamma2, scenario):
+    """Push both sides to the parent's lattice, glue the matched relative legs
+    into edges and contract only those, keeping each side's own edges."""
+    sides = ((gamma1, scenario.push1, 0), (gamma2, scenario.push2, len(gamma1.vertices)))
+    vertices = [Vertex(v.genus, tuple(push(v.cls))) for g, push, _ in sides for v in g.vertices]
+    kept = [(a + shift, b + shift) for g, _, shift in sides for a, b in g.edges]
+    legs = [(l.vertex + shift, l) for g, _, shift in sides for l in g.legs]
+    ends = {}
+    for v, l in legs:
+        if l.kind == RELATIVE:
+            ends.setdefault(l.marking, []).append(v)
+    assert all(len(pair) == 2 for pair in ends.values())
+    component = list(range(len(vertices)))
+    for a, b in ends.values():
+        old, new = component[a], component[b]
+        component = [new if c == old else c for c in component]
+    index = {c: i for i, c in enumerate(dict.fromkeys(component))}
+    contracted = []
+    for c in index:
+        members = [v for v in range(len(vertices)) if component[v] == c]
+        glued = sum(1 for a, _ in ends.values() if component[a] == c)
+        genus = sum(vertices[v].genus for v in members) + glued - len(members) + 1
+        contracted.append(Vertex(genus, tuple(map(sum, zip(*(vertices[v].cls for v in members))))))
+    return StableGraph(
+        tuple(contracted),
+        tuple((index[component[a]], index[component[b]]) for a, b in kept),
+        tuple(Leg(index[component[v]], l.marking) for v, l in legs if l.kind != RELATIVE),
+    )
 
-    scenario = cubic_scenario()
-    parent = parent_graph()
-    for s in enumerate_cases().values():
-        for g1, g2 in s.variants:
-            assert graph_isomorphic(_reglue(g1, g2, scenario), parent)
+
+def test_every_variant_reglues_to_parent():
+    from test_stable_graphs import TOY_SPLITS
+
+    for parent, scenario in [(parent_graph(), cubic_scenario()), *TOY_SPLITS.values()]:
+        splittings = enumerate_splittings(parent, scenario)
+        assert splittings
+        for s in splittings:
+            for g1, g2 in s.variants:
+                assert graph_isomorphic(reference_reglue(g1, g2, scenario), parent)
 
 
 def test_elliptic_demo_reports():

@@ -25,6 +25,7 @@ from nodaltrade.cohomology import (
     load_model,
     make_insertions,
     middle_diagonal_divisor_factor,
+    ring_from_json,
 )
 from nodaltrade.errors import InvalidInputError, InvalidModelError, UnsupportedCaseError
 from nodaltrade.loop_matrix import (
@@ -37,7 +38,7 @@ from nodaltrade.loop_matrix import (
 from nodaltrade.node_trade import primitive_insertion_pairs, recover
 from nodaltrade.pairings import Pairing, act_permutation
 from nodaltrade.partitions import Partition, all_partitions, even_row_partitions
-from nodaltrade.plane_counts import OracleTable, kontsevich_nd, pencil_reducible_count
+from nodaltrade.plane_counts import OracleTable, kontsevich_nd, lookup, pencil_reducible_count
 from nodaltrade.rationals import as_rational, format_rational, over_common_denominator
 from nodaltrade.stable_graphs import Leg, StableGraph, Vertex, enumerate_splittings
 from nodaltrade.tensor_oracle import BilinearSpace, all_form_tensors, diagonal_row
@@ -144,6 +145,14 @@ GATED = {
     "middle_diagonal_divisor_factor.lattice": (
         lambda v: middle_diagonal_divisor_factor(load_model("point"), v),
         [((1,), "model point carries no curve-class lattice")], InvalidModelError),
+    "CohRing.curve_label": (
+        lambda v: load_model("p2").curve_label(v),
+        [((0.5,), "class entry must be an integer, got 0.5"),
+         ((1, 2), "curve class must have 1 coordinates in p2"),
+         (None, "curve class must be a sequence of integers in p2, got None")]),
+    "CohRing.curve_label.point": (lambda v: load_model("point").curve_label(v),
+                                  [((1,), "model point carries no curve-class lattice")],
+                                  InvalidModelError),
     "middle_diagonal_divisor_factor.rank": (
         lambda v: middle_diagonal_divisor_factor(load_model("f1"), v),
         [((1,), "curve class must have 2 coordinates in f1")]),
@@ -152,7 +161,16 @@ GATED = {
             InsertionList(0, (v,), make_insertions(load_model("p2"), ["H"])), "H", load_model("p2")),
         _integer("class entry")),
     "flavor_dimension": (lambda v: flavor_dimension("symplectic", v), _integer("k", 0)),
-    "kontsevich_nd": (kontsevich_nd, _integer("degree", 0)),
+    "kontsevich_nd": (kontsevich_nd, [*_integer("degree", 0), ([3], "degree must be an integer, got [3]")]),
+    "load_model": (load_model, [(["p2"], "model name must be a string, got ['p2']")]),
+    "lookup": (lookup, [({}, "key must be a string, got {}")]),
+    "ring_from_json": (lambda v: ring_from_json("m", v),
+                       [({}, "model m: missing key 'basis'"),
+                        ({"basis": [{"label": "1"}]}, "model m: missing key 'degree'"),
+                        ({"basis": 5}, "model m: malformed model: 'int' object is not iterable"),
+                        (5, "model m: the model must be a mapping, got 5"),
+                        (["basis"], "model m: the model must be a mapping, got ['basis']")],
+                       InvalidModelError),
     "CohRing.degrees": (lambda v: CohRing("model", ("1", "x"), (0, v), ((0, 1), (1, 0))),
                         _integer("degree", -1)),
     "pencil_reducible_count.chi": (lambda v: pencil_reducible_count(v, 5), _integer("chi")),

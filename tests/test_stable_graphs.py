@@ -197,6 +197,11 @@ TOY_SPLITS = {
         StableGraph((Vertex(1, (4,)),), (), ()),
         split_once((SideVertexSpec((1,), (1, 2)),), (SideVertexSpec((3,), (2, 1)),)),
     ),
+    # parents with edges: each edge is placed as a loop or a bridge on either side
+    "loop": (one_vertex(0, (2,), legs=[1, 2], edges=[(0, 0)]), split_once(LINE, LINE, {1: 1, 2: 2})),
+    "loop-two-vertex-side": (one_vertex(0, (3,), edges=[(0, 0)]), split_once(TWICE, LINE + LINE)),
+    "two-loops": (one_vertex(0, (2,), legs=[1], edges=[(0, 0), (0, 0)]), split_once(LINE, LINE, {1: 2})),
+    "genus-one-loop": (one_vertex(1, (2,), edges=[(0, 0)]), split_once(TWICE, TWICE)),
 }
 
 
