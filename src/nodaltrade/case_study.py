@@ -148,7 +148,7 @@ def enumerate_cases() -> dict[str, Splitting]:
 
 
 def _count_key(side: int, classes, bridges: int, contacts, points: int) -> str:
-    """The text that keys a base count, and that the report records: the
+    """The text of a base count's key, which the report records: the
     surface, the sorted vertex classes, the point count, the sorted
     (class, multiplicity, boundary) contacts and the number of bridges."""
     cls = "+".join(str(c) for c in sorted(classes))
@@ -158,7 +158,8 @@ def _count_key(side: int, classes, bridges: int, contacts, points: int) -> str:
 
 
 def _base_count_table(table: OracleTable | None) -> dict:
-    """Base counts for the bundled scenario, keyed by `_count_key`.
+    """Base counts for the bundled scenario as (`_count_key` text, value,
+    provenance), keyed by (side, sorted classes, bridges, sorted contacts, points).
 
     Nonzero entries come from the bundled table or the pencil counts; the
     zero entries record boundary patterns whose point constraints leave a
@@ -169,7 +170,8 @@ def _base_count_table(table: OracleTable | None) -> dict:
 
     def put(side, classes, bridges, contacts, value, provenance):
         # every side of the bundled scenario carries four of the eight points
-        entries[_count_key(side, classes, bridges, contacts, 4)] = (Fraction(value), provenance)
+        key = (side, tuple(sorted(classes)), bridges, tuple(sorted(contacts)), 4)
+        entries[key] = (_count_key(*key), Fraction(value), provenance)
 
     zero_note = (
         "boundary pattern leaves a contact unconstrained or pins too many "
@@ -229,7 +231,9 @@ def _make_rel_oracle(table: OracleTable | None, recorder: list):
     rings = {side: load_model(name) for side, name in _SURFACES.items()}
     base = _base_count_table(table)
 
-    def oracle(side: int, graph: StableGraph, boundary) -> Fraction:
+    def oracle(side: int, graph: StableGraph):
+        """Prepare one side graph; the returned function of the boundary
+        tuple looks its base count up and records the call."""
         loop_vertices = [a for a, b in graph.edges if a == b]
         if len(loop_vertices) > 1:
             raise UnsupportedCaseError("at most one imposed node per side is bundled")
@@ -251,30 +255,26 @@ def _make_rel_oracle(table: OracleTable | None, recorder: list):
                     ),
                 }
             )
-        rel = sorted(graph.relative_legs(), key=lambda l: l.marking)
-        if len(rel) != len(boundary):
-            raise InvalidInputError("boundary tuple does not match the relative legs")
-        key = _count_key(
-            side,
-            [v.cls for v in graph.vertices],
-            len(graph.edges) - len(loop_vertices),
-            [(graph.vertices[l.vertex].cls, l.multiplicity, b) for l, b in zip(rel, boundary)],
-            len(graph.interior_legs()),
-        )
-        entry = base.get(key)
-        if entry is None:
-            raise MissingDataError(key)
-        value, provenance = entry
-        recorder.append(
-            {
-                "side": side,
-                "key": key,
-                "base_count": value,
-                "provenance": provenance,
-                "node_split": notes,
-            }
-        )
-        return factor * value
+        rel_legs = sorted(graph.relative_legs(), key=lambda l: l.marking)
+        rel = [(graph.vertices[l.vertex].cls, l.multiplicity) for l in rel_legs]
+        classes = tuple(sorted(v.cls for v in graph.vertices))
+        bridges = len(graph.edges) - len(loop_vertices)
+        points = len(graph.interior_legs())
+
+        def at(boundary) -> Fraction:
+            if len(rel) != len(boundary):
+                raise InvalidInputError("boundary tuple does not match the relative legs")
+            contacts = tuple(sorted((c, m, b) for (c, m), b in zip(rel, boundary)))
+            key = (side, classes, bridges, contacts, points)
+            entry = base.get(key)
+            if entry is None:
+                raise MissingDataError(_count_key(*key))
+            text, value, provenance = entry
+            recorder.append({"side": side, "key": text, "base_count": value, "provenance": provenance,
+                             "node_split": [dict(note) for note in notes]})
+            return factor * value
+
+        return at
 
     return oracle
 

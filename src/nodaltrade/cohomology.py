@@ -438,6 +438,8 @@ def middle_diagonal_divisor_factor(ring: CohRing, curve_class) -> Fraction:
     lattice, not a table.  A row the ring's data could not fill raises the
     refusal `intersect` gives.
     """
+    if ring.__class__ is not CohRing:
+        raise InvalidInputError(f"ring must be a CohRing, got {ring!r}")
     curve = ring._curve_argument(curve_class)
     total = 0
     for rows in ring.middle_rows:

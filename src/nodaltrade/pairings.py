@@ -140,8 +140,14 @@ def enumerate_pairings(n: int) -> tuple[Pairing, ...]:
     return _enumerate(n)
 
 
+def _pairing_argument(p) -> None:
+    if p.__class__ is not Pairing:
+        raise InvalidInputError(f"pairing must be a Pairing, got {p!r}")
+
+
 def crossing_number(p: Pairing) -> int:
     """Number of interleaved pair-of-pairs (i,k),(j,l) with i<j<k<l."""
+    _pairing_argument(p)
     c = 0
     pairs = p.pairs  # sorted by first element, so i < j below
     for s in range(len(pairs)):
@@ -191,6 +197,8 @@ def loop_type(p1: Pairing, p2: Pairing):
     """
     from .errors import InternalConsistencyError
 
+    _pairing_argument(p1)
+    _pairing_argument(p2)
     cycles = sorted(_product_cycles(p1, p2), reverse=True)
     for i in range(0, len(cycles), 2):
         if cycles[i] != cycles[i + 1]:

@@ -109,6 +109,8 @@ def hook_dimension(lam: Partition) -> int:
     Standard hook-length formula: |lam|! divided by the product of hook
     lengths over the boxes of the diagram.
     """
+    if lam.__class__ is not Partition:
+        raise InvalidInputError(f"partition must be a Partition, got {lam!r}")
     if not lam.parts:
         return 1
     conj = transpose(lam).parts

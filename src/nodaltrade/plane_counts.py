@@ -113,7 +113,10 @@ def lookup(key: str, table: OracleTable | None = None) -> Fraction:
 def lookup_with_provenance(key: str, table: OracleTable | None = None):
     if key.__class__ is not str:
         raise InvalidInputError(f"key must be a string, got {key!r}")
-    table = table if table is not None else bundled_table()
+    if table is None:
+        table = bundled_table()
+    elif table.__class__ is not OracleTable:
+        raise InvalidInputError(f"table must be an OracleTable or None, got {table!r}")
     entry = table.entries.get(key)
     if entry is None:
         raise MissingDataError(key)

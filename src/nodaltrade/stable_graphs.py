@@ -163,6 +163,8 @@ def _class_sum(classes):
 def contract_edges(graph: StableGraph) -> StableGraph:
     """Contract every edge: one vertex per component, genus summed plus the
     component's first Betti number, classes summed, legs preserved."""
+    if graph.__class__ is not StableGraph:
+        raise InvalidInputError(f"graph must be a StableGraph, got {graph!r}")
     parent = list(range(len(graph.vertices)))
 
     def find(x):
@@ -281,12 +283,12 @@ def _relabel_relative(graph: StableGraph, perm: dict) -> StableGraph:
     return StableGraph(graph.vertices, graph.edges, legs)
 
 
-def _relabelings(a, b, ell: int):
-    """Yield each relabeling of the relative legs 1..ell that carries the
-    splitting a = (gamma1, gamma2) onto b, up to graph isomorphism."""
-    labels = range(1, ell + 1)
-    for perm_tuple in itertools.permutations(labels):
-        perm = dict(zip(labels, perm_tuple))
+def _relabelings(a, b, perm_tuples):
+    """Yield each relabeling among `perm_tuples`, image tuples of the
+    relative legs 1..ell, that carries the splitting a = (gamma1, gamma2)
+    onto b, up to graph isomorphism."""
+    for perm_tuple in perm_tuples:
+        perm = dict(enumerate(perm_tuple, 1))
         if graph_isomorphic(_relabel_relative(a[0], perm), b[0]) and graph_isomorphic(
             _relabel_relative(a[1], perm), b[1]
         ):
@@ -323,11 +325,7 @@ def _side_graph(specs, side_markings, rel_assignment):
 
 def _contact_slots(specs):
     """Flatten per-vertex contacts into (vertex, multiplicity) slots."""
-    slots = []
-    for v, spec in enumerate(specs):
-        for mult in spec.contacts:
-            slots.append((v, mult))
-    return slots
+    return [(v, mult) for v, spec in enumerate(specs) for mult in spec.contacts]
 
 
 def _edge_placements(n_vertices: int):
@@ -360,26 +358,24 @@ def enumerate_splittings(
     results: list[Splitting] = []
     for opt in scenario.options(parent_class):
         if len(opt.side1) > SHAPE_BOUND or len(opt.side2) > SHAPE_BOUND:
-            raise ResourceLimitError(
-                f"split option exceeds shape bound {SHAPE_BOUND}: {opt}"
-            )
+            raise ResourceLimitError(f"split option exceeds shape bound {SHAPE_BOUND}: {opt}")
         slots1 = _contact_slots(opt.side1)
         slots2 = _contact_slots(opt.side2)
         contacts = tuple(sorted(m for _, m in slots1))
         if contacts != tuple(sorted(m for _, m in slots2)):
-            raise InvalidInputError(
-                f"contact multisets disagree between sides in option {opt}"
-            )
+            raise InvalidInputError(f"contact multisets disagree between sides in option {opt}")
         ell = len(slots1)
         classes = tuple(sorted(spec.cls for spec in opt.side1))
+        perms = list(itertools.permutations(range(1, ell + 1)))  # the identity first
 
-        for sides in _distinct_matchings(opt, slots1, slots2, markings1, markings2, ell):
+        for sides in _distinct_matchings(opt, slots1, slots2, markings1, markings2, perms):
             if not graph_isomorphic(_reglue(*sides, scenario), parent_curve):
                 continue
             for edge_places, bundle in _placement_bundles(parent, sides).items():
                 variants = tuple(bundle)
                 g1, g2 = variants[0]
-                aut = sum(1 for _ in _relabelings((g1, g2), (g1, g2), ell))
+                # the identity carries every splitting onto itself: only the others are checked
+                aut = 1 + sum(1 for _ in _relabelings((g1, g2), (g1, g2), perms[1:]))
                 results.append(
                     Splitting(
                         gamma1=g1,
@@ -395,16 +391,17 @@ def enumerate_splittings(
     return results
 
 
-def _distinct_matchings(opt, slots1, slots2, markings1, markings2, ell):
-    """Mult-preserving bijections between contact slots, up to relabeling,
-    as the pairs of edgeless side graphs they give."""
+def _distinct_matchings(opt, slots1, slots2, markings1, markings2, perms):
+    """Mult-preserving bijections between contact slots, up to the
+    relabelings `perms`, as the pairs of edgeless side graphs they give."""
+    ell = len(slots1)
     seen = []
     for perm in itertools.permutations(range(ell)):
         if any(slots1[i][1] != slots2[perm[i]][1] for i in range(ell)):
             continue
         g1 = _side_graph(opt.side1, markings1, {i + 1: slots1[i] for i in range(ell)})
         g2 = _side_graph(opt.side2, markings2, {i + 1: slots2[perm[i]] for i in range(ell)})
-        if all(next(_relabelings((g1, g2), old, ell), None) is None for old in seen):
+        if all(next(_relabelings((g1, g2), old, perms), None) is None for old in seen):
             seen.append((g1, g2))
     return seen
 
@@ -449,9 +446,11 @@ def degeneration_rhs(splittings, rel_oracle, ring_d, leg_degrees):
     Each splitting contributes m/|Aut| times the dual-basis sum over the
     double locus: for every tuple of basis indices, side 1 is queried with
     the basis classes and side 2 with their duals, and the products are
-    summed over the bundled variants.  `leg_degrees` maps each interior
-    marking to the degree of its class; the sign flips once per pair of odd
-    classes that swap past each other when the splitting's sides take them.
+    summed over the bundled variants.  `rel_oracle(side, graph)` returns the
+    side graph's invariant as a function of its boundary tuple, and side 2 is
+    prepared only once a side-1 value is nonzero.  `leg_degrees` maps each
+    interior marking to the degree of its class; the sign flips once per pair
+    of odd classes that swap past each other when the splitting's sides take them.
     """
     if not isinstance(leg_degrees, Mapping):
         raise InvalidInputError(f"leg_degrees must map markings to degrees, got {leg_degrees!r}")
@@ -470,15 +469,16 @@ def degeneration_rhs(splittings, rel_oracle, ring_d, leg_degrees):
             if m not in leg_degrees:
                 raise InvalidInputError(f"leg_degrees has no degree for marking {m!r}")
         sign = kunneth_reorder_sign([leg_degrees[m] for m, _ in sides], [side for _, side in sides])
+        combos = itertools.product(labels, repeat=s.ell)
+        boundaries = [(tuple(a for a, _ in c), tuple(b for _, b in c)) for c in combos]
         contribution = Fraction(0)
         for g1, g2 in s.variants:
-            for combo in itertools.product(range(len(pairs)), repeat=s.ell):
-                side1_boundary = tuple(labels[j][0] for j in combo)
-                side2_boundary = tuple(labels[j][1] for j in combo)
-                v1 = rel_oracle(1, g1, side1_boundary)
+            side1, side2 = rel_oracle(1, g1), None
+            for side1_boundary, side2_boundary in boundaries:
+                v1 = side1(side1_boundary)
                 if not v1:
                     continue
-                v2 = rel_oracle(2, g2, side2_boundary)
-                contribution += sign * v1 * v2
+                side2 = side2 or rel_oracle(2, g2)
+                contribution += sign * v1 * side2(side2_boundary)
         total += Fraction(s.m, s.aut) * contribution
     return total

@@ -3,7 +3,10 @@ from fractions import Fraction
 import pytest
 
 from nodaltrade.case_study import (
+    _SURFACES,
     CASE_IDS,
+    _base_count_table,
+    _count_key,
     compute_contribution,
     compute_lhs,
     compute_lhs_with_breakdown,
@@ -14,8 +17,13 @@ from nodaltrade.case_study import (
     evaluate_plane_invariant,
     parent_graph,
 )
-from nodaltrade.cohomology import InsertionList, load_model, make_insertions
-from nodaltrade.errors import InvalidInputError
+from nodaltrade.cohomology import (
+    InsertionList,
+    load_model,
+    make_insertions,
+    middle_diagonal_divisor_factor,
+)
+from nodaltrade.errors import InvalidInputError, MissingDataError, UnsupportedCaseError
 from nodaltrade.plane_counts import bundled_table
 from nodaltrade.stable_graphs import (
     RELATIVE,
@@ -263,9 +271,11 @@ def test_a_shape_outside_the_case_table_is_refused(monkeypatch):
 
 
 def test_every_recorded_key_is_a_key_of_the_base_count_table():
-    from nodaltrade.case_study import _base_count_table
-
-    keys = set(_base_count_table(None))
+    table = _base_count_table(None)
+    # each entry's text is the text of its structural key, and no two share one
+    assert all(text == _count_key(*key) for key, (text, _, _) in table.items())
+    keys = {text for text, _, _ in table.values()}
+    assert len(keys) == len(table)
     recorded = [
         call["key"]
         for breakdown in compute_rhs_total().breakdowns.values()
@@ -273,3 +283,116 @@ def test_every_recorded_key_is_a_key_of_the_base_count_table():
     ]
     assert len(recorded) > 8 and set(recorded) <= keys
     assert "f1|(0, 1)+(1, 2)|pts=4|contacts[(0, 1):m1:1;(1, 2):m1:pt]|joined=1" in recorded
+
+
+def reference_rel_oracle(table, recorder):
+    """The relative oracle in one call per (side, graph, boundary): every
+    call recomputes the node split and looks its base count up by text."""
+    rings = {side: load_model(name) for side, name in _SURFACES.items()}
+    base = {text: (value, provenance) for text, value, provenance in _base_count_table(table).values()}
+
+    def oracle(side, graph, boundary):
+        loops = [a for a, b in graph.edges if a == b]
+        if len(loops) > 1:
+            raise UnsupportedCaseError("at most one imposed node per side is bundled")
+        factor, notes = Fraction(1), []
+        for v in loops:
+            beta = graph.vertices[v].cls
+            div = middle_diagonal_divisor_factor(rings[side], beta)
+            factor *= Fraction(1, 2) * div
+            notes.append({
+                "loop_vertex_class": rings[side].curve_label(beta),
+                "branch_factor": "1/2",
+                "divisor_factor": div,
+                "correction_term": "0: the contact points are pinned by the matching, so "
+                                   "the split node cannot slide into the double locus",
+            })
+        rel = sorted(graph.relative_legs(), key=lambda l: l.marking)
+        if len(rel) != len(boundary):
+            raise InvalidInputError("boundary tuple does not match the relative legs")
+        key = _count_key(
+            side,
+            [v.cls for v in graph.vertices],
+            len(graph.edges) - len(loops),
+            [(graph.vertices[l.vertex].cls, l.multiplicity, b) for l, b in zip(rel, boundary)],
+            len(graph.interior_legs()),
+        )
+        if key not in base:
+            raise MissingDataError(key)
+        value, provenance = base[key]
+        recorder.append({"side": side, "key": key, "base_count": value,
+                         "provenance": provenance, "node_split": notes})
+        return factor * value
+
+    return oracle
+
+
+def test_the_prepared_oracle_gives_the_reference_breakdowns(monkeypatch):
+    from nodaltrade import case_study
+
+    def per_call(table, recorder):
+        oracle = reference_rel_oracle(table, recorder)
+        return lambda side, graph: lambda boundary: oracle(side, graph, boundary)
+
+    modified = bundled_table().with_entry(
+        "p2.conic.4pts.tangentL", 3, "perturbed for fault injection"
+    )
+    for table in (bundled_table(), modified):
+        report = compute_rhs_total(table=table)
+        with monkeypatch.context() as patch:
+            patch.setattr(case_study, "_make_rel_oracle", per_call)
+            reference = compute_rhs_total(table=table)
+        assert list(report.breakdowns) == list(CASE_IDS)
+        assert repr(report.breakdowns) == repr(reference.breakdowns)
+        assert report.contributions == reference.contributions
+
+
+def test_one_report_prepares_19_side_graphs_for_48_lookups(monkeypatch):
+    from nodaltrade import case_study
+
+    counts = {"preparations": 0, "lookups": 0}
+    make = case_study._make_rel_oracle
+
+    def counted(table, recorder):
+        oracle = make(table, recorder)
+
+        def prepare(side, graph):
+            counts["preparations"] += 1
+            at = oracle(side, graph)
+
+            def lookup(boundary):
+                counts["lookups"] += 1
+                return at(boundary)
+
+            return lookup
+
+        return prepare
+
+    monkeypatch.setattr(case_study, "_make_rel_oracle", counted)
+    report = compute_rhs_total()
+    assert counts == {"preparations": 19, "lookups": 48}
+    assert sum(len(b["oracle_calls"]) for b in report.breakdowns.values()) == 48
+    # every recorded call holds its own dicts, shared with no other call
+    calls = [call for b in report.breakdowns.values() for call in b["oracle_calls"]]
+    notes = [note for call in calls for note in call["node_split"]]
+    assert len({id(call) for call in calls}) == 48
+    assert len({id(call["node_split"]) for call in calls}) == 48
+    assert len({id(note) for note in notes}) == len(notes) > 0
+
+
+def test_the_oracle_refuses_what_it_cannot_count():
+    from nodaltrade.case_study import _make_rel_oracle
+
+    recorder = []
+    oracle = _make_rel_oracle(None, recorder)
+    line = (Vertex(0, (1,)),)
+    with pytest.raises(UnsupportedCaseError, match="^at most one imposed node per side"):
+        oracle(2, StableGraph(line, ((0, 0), (0, 0)), ()))
+    contact = StableGraph(line, (), (Leg(0, 1, RELATIVE, 1),))
+    at = oracle(2, contact)
+    with pytest.raises(InvalidInputError, match="^boundary tuple does not match"):
+        at(("1", "pt"))
+    with pytest.raises(MissingDataError) as info:
+        at(("pt",))
+    assert "p2|(1,)|pts=0|contacts[(1,):m1:pt]" in str(info.value)
+    assert recorder == []

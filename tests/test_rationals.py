@@ -36,11 +36,17 @@ from nodaltrade.loop_matrix import (
     restricted_inverse_apply,
 )
 from nodaltrade.node_trade import primitive_insertion_pairs, recover
-from nodaltrade.pairings import Pairing, act_permutation
-from nodaltrade.partitions import Partition, all_partitions, even_row_partitions
-from nodaltrade.plane_counts import OracleTable, kontsevich_nd, lookup, pencil_reducible_count
+from nodaltrade.pairings import Pairing, act_permutation, crossing_number, loop_type
+from nodaltrade.partitions import Partition, all_partitions, even_row_partitions, hook_dimension
+from nodaltrade.plane_counts import (
+    OracleTable,
+    kontsevich_nd,
+    lookup,
+    lookup_with_provenance,
+    pencil_reducible_count,
+)
 from nodaltrade.rationals import as_rational, format_rational, over_common_denominator
-from nodaltrade.stable_graphs import Leg, StableGraph, Vertex, enumerate_splittings
+from nodaltrade.stable_graphs import Leg, StableGraph, Vertex, contract_edges, enumerate_splittings
 from nodaltrade.tensor_oracle import BilinearSpace, all_form_tensors, diagonal_row
 
 
@@ -153,6 +159,9 @@ GATED = {
     "CohRing.curve_label.point": (lambda v: load_model("point").curve_label(v),
                                   [((1,), "model point carries no curve-class lattice")],
                                   InvalidModelError),
+    "middle_diagonal_divisor_factor.ring": (lambda v: middle_diagonal_divisor_factor(v, (1,)),
+                                            [(5, "ring must be a CohRing, got 5"),
+                                             ("p2", "ring must be a CohRing, got 'p2'")]),
     "middle_diagonal_divisor_factor.rank": (
         lambda v: middle_diagonal_divisor_factor(load_model("f1"), v),
         [((1,), "curve class must have 2 coordinates in f1")]),
@@ -164,6 +173,11 @@ GATED = {
     "kontsevich_nd": (kontsevich_nd, [*_integer("degree", 0), ([3], "degree must be an integer, got [3]")]),
     "load_model": (load_model, [(["p2"], "model name must be a string, got ['p2']")]),
     "lookup": (lookup, [({}, "key must be a string, got {}")]),
+    "lookup.table": (lambda v: lookup("k", v),
+                     [(v, f"table must be an OracleTable or None, got {v!r}")
+                      for v in (5, {"k": (1, "p")})]),
+    "lookup_with_provenance.table": (lambda v: lookup_with_provenance("k", v),
+                                     [(5, "table must be an OracleTable or None, got 5")]),
     "ring_from_json": (lambda v: ring_from_json("m", v),
                        [({}, "model m: missing key 'basis'"),
                         ({"basis": [{"label": "1"}]}, "model m: missing key 'degree'"),
@@ -296,6 +310,15 @@ GATED = {
         lambda v: evaluate_plane_invariant(InsertionList(0, (1,), (Insertion(v),))),
         [((0, 2, 0), "leftover insertions are not point classes")], UnsupportedCaseError),
     "_cubic_options": (_cubic_options, [((2,), "the bundled splitter only covers class (3,)")]),
+    "contract_edges": (contract_edges,
+                       [(v, f"graph must be a StableGraph, got {v!r}") for v in (5, POINT)]),
+    "crossing_number": (crossing_number,
+                        [(v, f"pairing must be a Pairing, got {v!r}") for v in (5, ((1, 2),))]),
+    "loop_type": (lambda v: loop_type(*v),
+                  [((5, 5), "pairing must be a Pairing, got 5"),
+                   ((Pairing(((1, 2),)), 5), "pairing must be a Pairing, got 5")]),
+    "hook_dimension": (hook_dimension,
+                       [(v, f"partition must be a Partition, got {v!r}") for v in (5, (2, 1))]),
     "enumerate_splittings": (
         lambda v: enumerate_splittings(StableGraph(v, ((0, 1),), ()), cubic_scenario()),
         [((Vertex(0, (1,)), Vertex(0, (2,))), "splitting enumeration expects a one-vertex parent")]),

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -282,14 +283,41 @@ def test_recorded_shape_matches_the_side_graphs(name):
             assert shape_from_side_graphs(s.replace(gamma1=g1, gamma2=g2)) == s.shape
 
 
-def unit_oracle(side, graph, boundary):
-    return Fraction(1)
+def full_relabeling_count(s):
+    """The stabilizer order as every relabeling of the matched legs that
+    fixes both side graphs up to isomorphism, the identity included."""
+    labels = range(1, s.ell + 1)
+
+    def relabel(g, perm):
+        legs = tuple(l.replace(marking=perm[l.marking]) if l.kind == RELATIVE else l for l in g.legs)
+        return StableGraph(g.vertices, g.edges, legs)
+
+    return sum(
+        graph_isomorphic(relabel(s.gamma1, perm), s.gamma1)
+        and graph_isomorphic(relabel(s.gamma2, perm), s.gamma2)
+        for perm in (dict(zip(labels, images)) for images in itertools.permutations(labels))
+    )
+
+
+@pytest.mark.parametrize("name", ["p2-f1-cubic", *TOY_SPLITS])
+def test_aut_counts_the_identity_without_checking_it(name):
+    from nodaltrade.case_study import cubic_scenario, parent_graph
+
+    parent, scenario = (
+        (parent_graph(), cubic_scenario()) if name == "p2-f1-cubic" else TOY_SPLITS[name]
+    )
+    for s in enumerate_splittings(parent, scenario):
+        assert s.aut == full_relabeling_count(s)
+
+
+def unit_oracle(side, graph):
+    return lambda boundary: Fraction(1)
 
 
 def test_degeneration_rhs_divides_by_stabilizer():
     splittings = enumerate_splittings(*TOY_SPLITS["double-contact"])
     point = load_model("point")
-    total = degeneration_rhs(splittings, lambda *a: Fraction(6), point, {})
+    total = degeneration_rhs(splittings, lambda side, graph: lambda boundary: Fraction(6), point, {})
     # one splitting, m=1, aut=2, single dual pair: 6 * 6 / 2
     assert total == 18
 
@@ -307,15 +335,39 @@ def test_degeneration_rhs_kunneth_sum_over_p1():
     (s,) = enumerate_splittings(*TOY_SPLITS["toy"])
     calls = []
 
-    def oracle(side, graph, boundary):
-        calls.append((side, boundary))
-        return Fraction(2) if side == 1 else Fraction(3)
+    def oracle(side, graph):
+        def at(boundary):
+            calls.append((side, boundary))
+            return Fraction(2) if side == 1 else Fraction(3)
+
+        return at
 
     total = degeneration_rhs([s], oracle, p1, {1: 0, 2: 0, 3: 0})
     # two Kunneth terms, each contributing 2 * 3
     assert total == 12
     assert ((1, ("1",)) in calls) and ((1, ("pt",)) in calls)
     assert ((2, ("pt",)) in calls) and ((2, ("1",)) in calls)
+
+
+def test_degeneration_rhs_prepares_side_two_only_for_a_nonzero_side_one():
+    p1 = load_model("p1")
+    (s,) = enumerate_splittings(*TOY_SPLITS["toy"])
+    prepared = []
+
+    def oracle(values):
+        def prepare(side, graph):
+            prepared.append(side)
+            return lambda boundary: values[side][boundary]
+
+        return prepare
+
+    zero = {1: {("1",): 0, ("pt",): 0}}
+    assert degeneration_rhs([s], oracle(zero), p1, {1: 0, 2: 0, 3: 0}) == 0
+    assert prepared == [1]
+    prepared.clear()
+    one_term = {1: {("1",): 0, ("pt",): 5}, 2: {("1",): 7}}
+    assert degeneration_rhs([s], oracle(one_term), p1, {1: 0, 2: 0, 3: 0}) == 35
+    assert prepared == [1, 2]
 
 
 def test_degeneration_rhs_sign_from_odd_legs():
