@@ -180,9 +180,17 @@ SPARSE_CONTRACTIONS_DATA = [
         (("trade", "--n", "3", "--flavor", "symplectic", "--k", "3",
           "--contractions", SPARSE_CONTRACTIONS),
          "9e046c2b344d0e1ce6a8b948ef6d58561c072e519ed33a161557768a68a34a5c"),
+        # the two cells where the diagonal multivectors equal the form tensors:
+        # symplectic at even n and orthogonal
+        (("oracle", "--n", "2", "--flavor", "symplectic", "--k", "2",
+          "--check-loop-matrix", "--rank"),
+         "e60f7f1a3d0f55e0a73a72eb18adf72a5751e1649deb1b45ec586956cf330217"),
+        (("oracle", "--n", "3", "--flavor", "orthogonal", "--k", "3",
+          "--check-loop-matrix", "--rank"),
+         "625b58f87a9e69c8796c5ab7b7f21ea3c14ff79a58847d0dcf412c328ae7b8c8"),
     ],
     ids=["nullspace", "left-kernel", "dual-basis", "loopmat", "loopmat-eigen", "check-loop-matrix",
-         "rank-dim-6", "trade-sparse"],
+         "rank-dim-6", "trade-sparse", "symplectic-even-n", "orthogonal-dim-3"],
 )
 def test_report_is_pinned(capsys, tmp_path, argv, digest):
     # sha256 of each report as printed when rank, the kernels and the dual
