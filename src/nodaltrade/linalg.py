@@ -4,14 +4,34 @@ Rows are scaled to coprime integers and reduced by Gauss-Jordan elimination
 with cross-multiplications and gcd normalizations, so no floating point and
 no rounding anywhere.  The reduction and the kernels do no `Fraction`
 arithmetic: the only Fractions they build are the returned kernel entries.
-`mat_vec` is the exact product used for checks.
+`mat_vec` is the exact product used for checks.  Each entry point gates its
+matrix once: a sequence of equal-length rows of ints and Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
-from .rationals import divided_by_gcd, over_common_denominator
+from .errors import InvalidInputError
+from .rationals import divided_by_gcd, over_common_denominator, sequence_argument
+
+
+def _exact(name: str, values) -> None:
+    """Refuse any value that is not an int or a Fraction, checked by type."""
+    for value in values:
+        if type(value) not in (int, Fraction):
+            raise InvalidInputError(f"{name} must be an int or a Fraction, got {value!r}")
+
+
+def _matrix(matrix) -> tuple:
+    """The one matrix gate: the rows of a sequence of equal-length rows of ints and Fractions."""
+    rows = sequence_argument("matrix", matrix, " of rows")
+    rows = tuple(sequence_argument("matrix row", row) for row in rows)
+    if len(set(map(len, rows))) > 1:
+        raise InvalidInputError(f"matrix rows must have one length, got {[len(r) for r in rows]}")
+    _exact("matrix entry", chain.from_iterable(rows))
+    return rows
 
 
 def _reduce(matrix, width=None):
@@ -44,7 +64,7 @@ def _reduce(matrix, width=None):
 
 def rank(matrix) -> int:
     """Rank of a matrix given as a list of rows."""
-    return len(_reduce(matrix)[1])
+    return len(_reduce(_matrix(matrix))[1])
 
 
 def nullspace(matrix) -> list[tuple[Fraction, ...]]:
@@ -54,6 +74,7 @@ def nullspace(matrix) -> list[tuple[Fraction, ...]]:
     so the result is deterministic and easy to compare against fixtures;
     its other entries are read off the pivot rows.
     """
+    matrix = _matrix(matrix)
     if not matrix:
         return []
     n_cols = len(matrix[0])
@@ -75,10 +96,10 @@ def left_kernel(matrix) -> list[tuple[Fraction, ...]]:
     Row operations keep the identity block invertible, so no combination
     read off is zero and the basis has len(matrix) - rank(matrix) vectors.
     """
+    matrix = _matrix(matrix)
     if not matrix:
         return []
-    n_rows = len(matrix)
-    width = len(matrix[0])
+    n_rows, width = len(matrix), len(matrix[0])
     augmented = [
         list(row) + [1 if i == j else 0 for j in range(n_rows)]
         for i, row in enumerate(matrix)
@@ -88,7 +109,11 @@ def left_kernel(matrix) -> list[tuple[Fraction, ...]]:
 
 
 def mat_vec(matrix, vec):
-    """Exact matrix-vector product; entries must be int or Fraction."""
+    """Exact matrix-vector product of a matrix and a vector of its row length."""
+    matrix, vec = _matrix(matrix), sequence_argument("vector", vec)
+    _exact("vector entry", vec)
+    if matrix and len(vec) != len(matrix[0]):
+        raise InvalidInputError(f"vector has {len(vec)} entries for {len(matrix[0])} matrix columns")
     return tuple(
         sum((a * x for a, x in zip(row, vec) if a and x), Fraction(0))
         for row in matrix

@@ -1,12 +1,14 @@
 """Brute-force multilinear oracles on explicit orthogonal/symplectic spaces.
 
-Enumerates the supports of the covariant pairing tensors and the
-contravariant diagonal multivectors and groups their flats into a class
-table: the flats with one column of pairing values share a class (140
-classes for 1,860 flats at n=3, dim 6).  Every tensor is one integer per
-class over one denominator; the pairing tensors and their combinations
-share their cell's table.  The module owns that format: combinations, slot
-and basis remaps, contractions, the rank, and views on access.
+Enumerates the support of each covariant pairing tensor once and groups the
+flats into a class table: the flats with one column of pairing values share
+a class (140 classes for 1,860 flats at n=3, dim 6).  Each contravariant
+diagonal multivector is its form tensor up to one sign: D_P = (-1)^n T_P in
+the symplectic flavor, whose n factors each take J^-1 = -J, and D_P = T_P
+in the orthogonal one.  Every tensor is one integer per class over one
+denominator; the pairing tensors and their combinations share their cell's
+table.  The module owns that format: combinations, slot and basis remaps,
+contractions, the rank, and views on access.
 The central assertion of the module is that the matrix of contractions
 reproduces the loop matrix at x = k (orthogonal) or x = -2k (symplectic);
 tests and the CLI perform that comparison entrywise, keeping the two
@@ -18,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, islice, product
+from itertools import compress, product
 from math import prod
 from operator import lt, mul
 
@@ -28,7 +30,8 @@ from .frozen import Frozen
 from .loop_matrix import ORTHOGONAL, PairingVector, admissible_partitions, flavor_dimension
 from .pairings import Pairing, check_n, check_permutation, crossing_number, enumerate_pairings
 from .partitions import hook_dimension
-from .rationals import integer_argument, new_in_lowest_terms, over_common_denominator
+from .rationals import (integer_argument, integer_sequence, new_in_lowest_terms,
+                        over_common_denominator, sequence_argument)
 
 BRUTE_FORCE_MAX_N = 3
 BRUTE_FORCE_MAX_DIM = 6
@@ -51,22 +54,10 @@ class BilinearSpace(Frozen, derived=("dim",)):
     @property
     def form(self) -> tuple[tuple[int, ...], ...]:
         d, k = self.dim, self.k
-        rows = [[0] * d for _ in range(d)]
         if self.flavor == ORTHOGONAL:
-            for i in range(d):
-                rows[i][i] = 1
-        else:
-            for mu in range(k):
-                rows[mu][k + mu] = 1
-                rows[k + mu][mu] = -1
-        return tuple(tuple(r) for r in rows)
-
-    @property
-    def inverse_form(self) -> tuple[tuple[int, ...], ...]:
-        if self.flavor == ORTHOGONAL:
-            return self.form
-        # J^{-1} = -J for the standard symplectic block form
-        return tuple(tuple(-x for x in row) for row in self.form)
+            return tuple(tuple(int(a == b) for b in range(d)) for a in range(d))
+        # J = [[0, I_k], [-I_k, 0]]: form(e_mu, f_mu) = 1 = -form(f_mu, e_mu)
+        return tuple(tuple((b == a + k) - (a == b + k) for b in range(d)) for a in range(d))
 
 
 class Tensor(Frozen, fields=("n", "dim", "flats", "values")):
@@ -88,12 +79,12 @@ class Tensor(Frozen, fields=("n", "dim", "flats", "values")):
 
     def __init__(self, n, dim, flats, values):
         check_n(n)
+        integer_argument("dim", dim, 1)
+        flats, values = integer_sequence("flats", flats, "flat"), sequence_argument("values", values)
         size = dim ** (2 * n)
         if len(flats) != len(values):
             raise InvalidInputError(f"support has {len(flats)} flats but {len(values)} values")
-        if flats and not (
-            -1 < flats[0] and flats[-1] < size and all(map(lt, flats, islice(flats, 1, None)))
-        ):
+        if flats and not (-1 < flats[0] and flats[-1] < size and all(map(lt, flats, flats[1:]))):
             raise InvalidInputError(f"support flats must strictly increase within 0..{size - 1}")
         if not set(map(type, values)) <= {int, Fraction}:
             flat, value = next((f, v) for f, v in zip(flats, values) if type(v) not in (int, Fraction))
@@ -179,65 +170,37 @@ def slot_weights(dim: int, order: int) -> list[int]:
 
 def check_brute_force_budget(n: int, dim: int) -> None:
     check_n(n)
+    integer_argument("dim", dim, 1)
     if n > BRUTE_FORCE_MAX_N or dim > BRUTE_FORCE_MAX_DIM:
-        raise ResourceLimitError(
-            f"brute force limited to n <= {BRUTE_FORCE_MAX_N} and "
-            f"dim <= {BRUTE_FORCE_MAX_DIM}, got n={n}, dim={dim}"
-        )
+        raise ResourceLimitError(f"brute force limited to n <= {BRUTE_FORCE_MAX_N} and "
+                                 f"dim <= {BRUTE_FORCE_MAX_DIM}, got n={n}, dim={dim}")
 
 
 def pairing_supports(p: Pairing, space: BilinearSpace):
-    """Supports of the form tensor and the diagonal multivector of p:
-    their common flats, then the values of each.
+    """Support of the form tensor of p: its flats, sorted, then its values.
 
     The coefficient at (a_1..a_2n) is sign * prod over pairs (i, j) of
-    matrix[a_i][a_j], with the form for the covariant tensor and the
-    inverse form for the contravariant one.  The two matrices have the
-    same nonzero entries (I^-1 = I, J^-1 = -J), so one enumeration over
-    every choice of a nonzero entry per pair yields both supports on one
-    tuple of flats, sorted; should the patterns ever differ, `Tensor`
-    refuses a zero value and a class table leaves it out of the views.
-    Equal value tuples come back as one tuple.
-
-    The symplectic flavor takes each factor in increasing slot order and
-    carries the global crossing sign (-1)^c(P); the orthogonal factor is
-    symmetric so no ordering or sign is needed.  In the symplectic
-    flavor the inverse bivector of the pair (i, j), i < j, sits in the
-    slots in decreasing order (j, i), which makes its slot-(i, j)
-    coefficient array exactly the inverse form matrix.
+    form[a_i][a_j], one enumeration over every choice of a nonzero form
+    entry per pair.  The symplectic flavor takes each factor in increasing
+    slot order and carries the global crossing sign (-1)^c(P); the
+    orthogonal factor is symmetric so no ordering or sign is needed.
     """
-    dim, order = space.dim, 2 * p.n
-    check_brute_force_budget(p.n, dim)
-    form, inverse = space.form, space.inverse_form
+    check_brute_force_budget(p.n, space.dim)
     sign = -1 if space.flavor != ORTHOGONAL and crossing_number(p) % 2 else 1
-    weight = slot_weights(dim, order)
-    factors = [
-        [
-            (a * weight[i - 1] + b * weight[j - 1], form[a][b], inverse[a][b])
-            for a in range(dim)
-            for b in range(dim)
-            if form[a][b] or inverse[a][b]
-        ]
-        for i, j in p.pairs
-    ]
+    weight = slot_weights(space.dim, 2 * p.n)
+    nonzero = [(a, b, f) for a, row in enumerate(space.form) for b, f in enumerate(row) if f]
+    factors = [[(a * weight[i - 1] + b * weight[j - 1], f) for a, b, f in nonzero] for i, j in p.pairs]
     entries = sorted(
-        (
-            sum(entry[0] for entry in choice),
-            sign * prod(entry[1] for entry in choice),
-            sign * prod(entry[2] for entry in choice),
-        )
+        (sum(flat for flat, _ in choice), sign * prod(value for _, value in choice))
         for choice in product(*factors)
     )
-    flats, forms, diags = map(tuple, zip(*entries))
-    return flats, forms, forms if diags == forms else diags
+    return tuple(map(tuple, zip(*entries)))
 
 
 def contract(form: Tensor, vec: Tensor) -> Fraction:
     """Full slot-by-slot pairing of a covariant and a contravariant tensor."""
     if form.n != vec.n or form.dim != vec.dim:
-        raise InvalidInputError(
-            f"shape mismatch: ({form.n}, {form.dim}) vs ({vec.n}, {vec.dim})"
-        )
+        raise InvalidInputError(f"shape mismatch: ({form.n}, {form.dim}) vs ({vec.n}, {vec.dim})")
     at = dict(form.support)
     return Fraction(sum(at.get(flat, 0) * value for flat, value in vec.support))
 
@@ -275,30 +238,38 @@ def _pairing_tensors(n: int, space: BilinearSpace):
     and their sparse rows: the classes where each is nonzero and its values
     there, times the class size for a diagonal (its contraction weights).
 
-    A flat's column is its (pairing index, form value, diagonal value)
-    triples, laid end to end, over the pairings nonzero there; flats with
-    equal columns make a class, numbered in order of first occurrence.
+    A flat's column is its (pairing index, form value) pairs, laid end to
+    end, over the pairings nonzero there; flats with equal columns make a
+    class, numbered in order of first occurrence.  The diagonal multivector
+    of P is (-1)^n T_P in the symplectic flavor and T_P in the orthogonal
+    one: the inverse bivector of the pair (i, j), i < j, sits in the slots
+    (j, i), so its slot-(i, j) coefficients are the inverse form, and each
+    of the n factors takes J^-1 = -J (I^-1 = I).
     """
     pairings, columns = enumerate_pairings(n), {}
     for i, p in enumerate(pairings):
-        for flat, f, d in zip(*pairing_supports(p, space)):
-            columns.setdefault(flat, []).extend((i, f, d))
+        for flat, f in zip(*pairing_supports(p, space)):
+            columns.setdefault(flat, []).extend((i, f))
     union = tuple(sorted(columns))
     ids = {}
     class_of = tuple(ids.setdefault(tuple(columns[flat]), len(ids)) for flat in union)
     sizes = tuple(Counter(class_of).values())  # keeps first-occurrence order: the class order
-    form_rows, diag_rows = ([[0] * len(ids) for _ in pairings] for _ in "fd")
+    rows = [[0] * len(ids) for _ in pairings]
     for c, column in enumerate(ids):
-        for i, f, d in zip(*[iter(column)] * 3):
-            form_rows[i][c], diag_rows[i][c] = f, d
+        for i, f in zip(*[iter(column)] * 2):
+            rows[i][c] = f
     table = (union, class_of)
-    forms, diags = (
-        tuple(Tensor._over(n, space.dim, table, row, 1) for row in rows)
-        for rows in (form_rows, diag_rows)
+    sign = -1 if space.flavor != ORTHOGONAL and n % 2 else 1
+    forms = tuple(Tensor._over(n, space.dim, table, row, 1) for row in rows)
+    diags = forms if sign == 1 else tuple(
+        Tensor._over(n, space.dim, table, [-f for f in row], 1) for row in rows
     )
-    form_sparse, diag_sparse = (
-        tuple((tuple(c for c, v in enumerate(row) if v), tuple(filter(None, row))) for row in rows)
-        for rows in (form_rows, [list(map(mul, row, sizes)) for row in diag_rows])
+    form_sparse = tuple(
+        (tuple(c for c, f in enumerate(row) if f), tuple(filter(None, row))) for row in rows
+    )
+    diag_sparse = tuple(
+        (classes, tuple(sign * f * sizes[c] for c, f in zip(classes, values)))
+        for classes, values in form_sparse
     )
     return forms, diags, table, form_sparse, diag_sparse
 

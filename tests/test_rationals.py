@@ -28,6 +28,7 @@ from nodaltrade.cohomology import (
     ring_from_json,
 )
 from nodaltrade.errors import InvalidInputError, InvalidModelError, UnsupportedCaseError
+from nodaltrade.linalg import left_kernel, mat_vec, nullspace, rank
 from nodaltrade.loop_matrix import (
     PairingVector,
     build_loop_matrix,
@@ -47,7 +48,8 @@ from nodaltrade.plane_counts import (
 )
 from nodaltrade.rationals import as_rational, format_rational, over_common_denominator
 from nodaltrade.stable_graphs import Leg, StableGraph, Vertex, contract_edges, enumerate_splittings
-from nodaltrade.tensor_oracle import BilinearSpace, all_form_tensors, diagonal_row
+from nodaltrade.tensor_oracle import (BilinearSpace, Tensor, all_form_tensors, check_brute_force_budget,
+                                      diagonal_row)
 
 
 class Tagged(Fraction):
@@ -94,6 +96,17 @@ def test_over_common_denominator_is_exact_and_in_lowest_terms(values):
     assert den > 0 and gcd(den, *numerators) == 1
     assert {type(a) for a in numerators} <= {int}
     assert [Fraction(a, den) for a in numerators] == values
+
+
+# the linalg matrix gate's refusals: a non-sequence, a non-sequence row, ragged
+# rows and entries that are not ints or Fractions, checked by type
+MATRIX_REFUSALS = [(5, "matrix must be a sequence of rows, got 5"),
+                   ([5], "matrix row must be a sequence, got 5"),
+                   ([[1, 2], [3]], "matrix rows must have one length, got [2, 1]"),
+                   ([["ab"]], "matrix entry must be an int or a Fraction, got 'ab'"),
+                   (["ab"], "matrix entry must be an int or a Fraction, got 'a'"),
+                   ([[0.5, 1]], "matrix entry must be an int or a Fraction, got 0.5"),
+                   ([[True, 2]], "matrix entry must be an int or a Fraction, got True")]
 
 
 def _integer(argument, below=None, refusal=None):
@@ -319,6 +332,27 @@ GATED = {
                    ((Pairing(((1, 2),)), 5), "pairing must be a Pairing, got 5")]),
     "hook_dimension": (hook_dimension,
                        [(v, f"partition must be a Partition, got {v!r}") for v in (5, (2, 1))]),
+    "Tensor.dim": (lambda v: Tensor(1, v, (), ()),
+                   [*_integer("dim", 0), (-2, "dim must be >= 1, got -2"),
+                    (None, "dim must be an integer, got None")]),
+    "Tensor.flats": (lambda v: Tensor(1, 2, v, (1, 1)),
+                     [((0.5,), "flat must be an integer, got 0.5"),
+                      ((True,), "flat must be an integer, got True"),
+                      ((1.0, 2.0), "flat must be an integer, got 1.0"),
+                      (5, "flats must be a sequence of integers, got 5")]),
+    "Tensor.values": (lambda v: Tensor(1, 2, (0,), v), [(None, "values must be a sequence, got None")]),
+    "check_brute_force_budget": (lambda v: check_brute_force_budget(1, v),
+                                 [*_integer("dim", 0), (2.5, "dim must be an integer, got 2.5"),
+                                  (-3, "dim must be >= 1, got -3")]),
+    "rank": (rank, MATRIX_REFUSALS),
+    "nullspace": (nullspace, MATRIX_REFUSALS),
+    "left_kernel": (left_kernel, MATRIX_REFUSALS),
+    "mat_vec": (lambda v: mat_vec(v, (1,)), MATRIX_REFUSALS),
+    "mat_vec.vector": (lambda v: mat_vec([[1]], v),
+                       [(["a"], "vector entry must be an int or a Fraction, got 'a'"),
+                        ((0.5,), "vector entry must be an int or a Fraction, got 0.5"),
+                        (5, "vector must be a sequence, got 5"),
+                        ((1, 2), "vector has 2 entries for 1 matrix columns")]),
     "enumerate_splittings": (
         lambda v: enumerate_splittings(StableGraph(v, ((0, 1),), ()), cubic_scenario()),
         [((Vertex(0, (1,)), Vertex(0, (2,))), "splitting enumeration expects a one-vertex parent")]),

@@ -4,7 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from pathlib import Path
 
@@ -16,7 +16,7 @@ from nodaltrade import tensor_oracle
 from nodaltrade.errors import InvalidInputError, ResourceLimitError
 from nodaltrade.linalg import left_kernel, rank
 from nodaltrade.loop_matrix import PairingVector, build_loop_matrix, flavor_specialization
-from nodaltrade.pairings import Pairing, act_permutation, enumerate_pairings
+from nodaltrade.pairings import Pairing, act_permutation, crossing_number, enumerate_pairings
 from nodaltrade.partitions import hook_dimension
 from nodaltrade.loop_matrix import admissible_partitions
 from nodaltrade.tensor_oracle import (
@@ -59,9 +59,70 @@ def test_space_forms():
     s = BilinearSpace("symplectic", 1)
     assert s.dim == 2
     assert s.form == ((0, 1), (-1, 0))
-    assert s.inverse_form == ((0, -1), (1, 0))
     with pytest.raises(InvalidInputError):
         BilinearSpace("unitary", 2)
+
+
+def inverse_form(space):
+    """The inverse of the space's form, written out: I, or -J for the standard symplectic J."""
+    d, k = space.dim, space.k
+    if space.flavor == "orthogonal":
+        return tuple(tuple(int(a == b) for b in range(d)) for a in range(d))
+    rows = [[0] * d for _ in range(d)]
+    for mu in range(k):
+        rows[mu][k + mu], rows[k + mu][mu] = -1, 1
+    return tuple(map(tuple, rows))
+
+
+def literal_supports(p, space):
+    """The sorted (flat, form value, diagonal value) entries of p, enumerated
+    with both matrices: one product per choice of an entry per pair where
+    the form or the inverse form is nonzero, each factor read at (a_i, a_j),
+    times the crossing sign in the symplectic flavor.  The inverse bivector
+    of (i, j), i < j, sits in the slots (j, i), so its slot-(i, j)
+    coefficients are the inverse form."""
+    form, inverse, dim, order = space.form, inverse_form(space), space.dim, 2 * p.n
+    sign = -1 if space.flavor == "symplectic" and crossing_number(p) % 2 else 1
+    entries = [(a, b) for a in range(dim) for b in range(dim) if form[a][b] or inverse[a][b]]
+    supports = []
+    for choice in itertools.product(entries, repeat=p.n):
+        index = [0] * order
+        for (i, j), (a, b) in zip(p.pairs, choice):
+            index[i - 1], index[j - 1] = a, b
+        flat = sum(a * dim ** (order - 1 - slot) for slot, a in enumerate(index))
+        supports.append((flat, sign * prod(form[a][b] for a, b in choice),
+                         sign * prod(inverse[a][b] for a, b in choice)))
+    return sorted(supports)
+
+
+def test_inverse_form_reference():
+    assert inverse_form(BilinearSpace("symplectic", 1)) == ((0, -1), (1, 0))
+    for cell in CELLS:
+        space = BilinearSpace(*cell)
+        form, inverse, d = space.form, inverse_form(space), space.dim
+        composed = [[sum(form[a][c] * inverse[c][b] for c in range(d)) for b in range(d)] for a in range(d)]
+        assert composed == [[int(a == b) for b in range(d)] for a in range(d)]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("cell", CELLS)
+def test_diagonals_are_the_literal_inverse_form_enumeration(n, cell):
+    # the oracle derives each diagonal multivector from its form tensor by the
+    # sign (-1)^n (symplectic) or 1 (orthogonal); this enumerates it from J^-1
+    space = BilinearSpace(*cell)
+    supports = [literal_supports(p, space) for p in enumerate_pairings(n)]
+    diags = tuple(
+        Tensor(n, space.dim, *map(tuple, zip(*[(flat, d) for flat, _, d in s if d]))) for s in supports
+    )
+    assert all_diagonal_multivectors(n, space) == diags
+    # classes by the (pairing, form, diagonal) triples over the pairings nonzero at a flat
+    columns = {}
+    for i, s in enumerate(supports):
+        for flat, f, d in s:
+            columns.setdefault(flat, []).extend((i, f, d))
+    union, ids = tuple(sorted(columns)), {}
+    class_of = tuple(ids.setdefault(tuple(columns[flat]), len(ids)) for flat in union)
+    assert _pairing_tensors(n, space)[2] == (union, class_of)
 
 
 def test_form_tensor_orthogonal_n1():
@@ -272,6 +333,12 @@ def test_tensor_refuses_a_value_that_only_claims_to_be_an_int():
 def test_tensor_refuses_flats_and_values_of_different_lengths():
     with pytest.raises(InvalidInputError, match="2 flats but 1 values"):
         Tensor(2, 2, (0, 3), (1,))
+
+
+def test_tensor_keeps_its_gated_fields_as_tuples():
+    t = Tensor(1, 2, [0], [1])
+    assert t == Tensor(1, 2, (0,), (1,)) and hash(t) == hash(Tensor(1, 2, (0,), (1,)))
+    assert t.table[0] == (0,) and not t.is_zero()
 
 
 def test_tensor_reads_its_support():
