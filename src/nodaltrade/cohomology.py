@@ -19,8 +19,8 @@ from types import MappingProxyType
 from . import linalg, read_bundled
 from .errors import InvalidInputError, InvalidModelError, UnsupportedCaseError
 from .frozen import Frozen
-from .rationals import (as_rational, format_rational, integer_argument, integer_sequence,
-                        over_common_denominator, sequence_argument)
+from .rationals import (as_rational, exact_sequence, format_rational, instance_argument,
+                        integer_argument, integer_sequence, over_common_denominator, sequence_argument)
 
 
 def _join_terms(terms) -> str:
@@ -51,8 +51,7 @@ def _distinct_strings(name, values, what, each, of=""):
     """A sequence of distinct `str` labels; each refusal names the model."""
     values = sequence_argument(f"model {name}: {what}", values, of, InvalidModelError)
     for value in values:
-        if not isinstance(value, str):
-            raise InvalidModelError(f"model {name}: a {each} must be a string, got {value!r}")
+        instance_argument(f"model {name}: a {each}", value, str, "a string", InvalidModelError)
     if len(set(values)) != len(values):
         raise InvalidModelError(f"model {name}: {each}s must be distinct, got {values}")
     return values
@@ -299,9 +298,7 @@ class CohRing(Frozen, derived=("duals", "units", "divisor_den", "divisor_rows", 
 def load_model(name: str) -> CohRing:
     """The ring model of that name in data/models.json, parsed and validated
     once and shared by every caller."""
-    if name.__class__ is not str:
-        raise InvalidInputError(f"model name must be a string, got {name!r}")
-    return _load_model(name)
+    return _load_model(instance_argument("model name", name, str, "a string"))
 
 
 @lru_cache(maxsize=None)
@@ -351,10 +348,7 @@ class Insertion(Frozen):
     __slots__ = ("coords", "psi")
 
     def __init__(self, coords, psi=0):
-        coords = sequence_argument("coordinates", coords, " of ints and Fractions")
-        for c in coords:
-            if c.__class__ not in (int, Fraction):
-                raise InvalidInputError(f"coordinate must be an int or a Fraction, got {c!r}")
+        coords = exact_sequence("coordinates", coords, "coordinate", " of ints and Fractions")
         self._set(coords, integer_argument("psi power", psi, 0))
 
 
@@ -438,9 +432,7 @@ def middle_diagonal_divisor_factor(ring: CohRing, curve_class) -> Fraction:
     lattice, not a table.  A row the ring's data could not fill raises the
     refusal `intersect` gives.
     """
-    if ring.__class__ is not CohRing:
-        raise InvalidInputError(f"ring must be a CohRing, got {ring!r}")
-    curve = ring._curve_argument(curve_class)
+    curve = instance_argument("ring", ring, CohRing)._curve_argument(curve_class)
     total = 0
     for rows in ring.middle_rows:
         if rows.__class__ is not tuple:

@@ -14,14 +14,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import InvalidInputError
-from .rationals import divided_by_gcd, over_common_denominator, sequence_argument
-
-
-def _exact(name: str, values) -> None:
-    """Refuse any value that is not an int or a Fraction, checked by type."""
-    for value in values:
-        if type(value) not in (int, Fraction):
-            raise InvalidInputError(f"{name} must be an int or a Fraction, got {value!r}")
+from .rationals import divided_by_gcd, exact_sequence, over_common_denominator, sequence_argument
 
 
 def _matrix(matrix) -> tuple:
@@ -30,7 +23,7 @@ def _matrix(matrix) -> tuple:
     rows = tuple(sequence_argument("matrix row", row) for row in rows)
     if len(set(map(len, rows))) > 1:
         raise InvalidInputError(f"matrix rows must have one length, got {[len(r) for r in rows]}")
-    _exact("matrix entry", chain.from_iterable(rows))
+    exact_sequence("matrix", chain.from_iterable(rows), "matrix entry")
     return rows
 
 
@@ -110,8 +103,7 @@ def left_kernel(matrix) -> list[tuple[Fraction, ...]]:
 
 def mat_vec(matrix, vec):
     """Exact matrix-vector product of a matrix and a vector of its row length."""
-    matrix, vec = _matrix(matrix), sequence_argument("vector", vec)
-    _exact("vector entry", vec)
+    matrix, vec = _matrix(matrix), exact_sequence("vector", vec, "vector entry")
     if matrix and len(vec) != len(matrix[0]):
         raise InvalidInputError(f"vector has {len(vec)} entries for {len(matrix[0])} matrix columns")
     return tuple(

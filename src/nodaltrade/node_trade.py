@@ -13,7 +13,7 @@ from __future__ import annotations
 from .errors import InconsistentDataError, InvalidInputError, SubspaceError
 from .frozen import Frozen
 from .loop_matrix import PairingVector, restricted_inverse_apply
-from .rationals import integer_argument
+from .rationals import instance_argument, integer_argument
 from .tensor_oracle import (
     BilinearSpace,
     Tensor,
@@ -49,7 +49,7 @@ class InvariantTensor(Frozen, derived=("tensor",)):
     __slots__ = ("n", "space", "coordinates", "tensor")
 
     def __init__(self, n, space, coordinates):
-        check_brute_force_budget(n, space.dim)
+        check_brute_force_budget(n, instance_argument("space", space, BilinearSpace).dim)
         if not isinstance(coordinates, PairingVector):
             coordinates = PairingVector(n, coordinates)
         if coordinates.n != n:
@@ -120,7 +120,7 @@ def recover(contractions, n: int, space: BilinearSpace, sign: int = 1) -> Invari
     """
     if sign.__class__ is not int or sign not in (1, -1):
         raise InvalidInputError(f"sign must be +1 or -1, got {sign!r}")
-    check_brute_force_budget(n, space.dim)
+    check_brute_force_budget(n, instance_argument("space", space, BilinearSpace).dim)
     if not isinstance(contractions, PairingVector):
         contractions = PairingVector(n, contractions)
     if contractions.n != n:

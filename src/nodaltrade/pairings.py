@@ -14,7 +14,7 @@ from math import prod
 
 from .errors import InvalidInputError, ResourceLimitError
 from .frozen import Frozen
-from .rationals import integer_argument, integer_sequence, sequence_argument
+from .rationals import instance_argument, integer_argument, integer_sequence, sequence_argument
 
 DEFAULT_MAX_N = 5
 _ENV_MAX_N = "NODAL_TRADE_MAX_N"
@@ -140,14 +140,9 @@ def enumerate_pairings(n: int) -> tuple[Pairing, ...]:
     return _enumerate(n)
 
 
-def _pairing_argument(p) -> None:
-    if p.__class__ is not Pairing:
-        raise InvalidInputError(f"pairing must be a Pairing, got {p!r}")
-
-
 def crossing_number(p: Pairing) -> int:
     """Number of interleaved pair-of-pairs (i,k),(j,l) with i<j<k<l."""
-    _pairing_argument(p)
+    instance_argument("pairing", p, Pairing)
     c = 0
     pairs = p.pairs  # sorted by first element, so i < j below
     for s in range(len(pairs)):
@@ -197,8 +192,8 @@ def loop_type(p1: Pairing, p2: Pairing):
     """
     from .errors import InternalConsistencyError
 
-    _pairing_argument(p1)
-    _pairing_argument(p2)
+    instance_argument("pairing", p1, Pairing)
+    instance_argument("pairing", p2, Pairing)
     cycles = sorted(_product_cycles(p1, p2), reverse=True)
     for i in range(0, len(cycles), 2):
         if cycles[i] != cycles[i + 1]:

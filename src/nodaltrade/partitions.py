@@ -12,7 +12,7 @@ from math import factorial
 
 from .errors import InvalidInputError
 from .frozen import Frozen
-from .rationals import integer_argument, integer_sequence, rational_argument
+from .rationals import instance_argument, integer_argument, integer_sequence, rational_argument
 
 
 class Partition(Frozen):
@@ -109,9 +109,7 @@ def hook_dimension(lam: Partition) -> int:
     Standard hook-length formula: |lam|! divided by the product of hook
     lengths over the boxes of the diagram.
     """
-    if lam.__class__ is not Partition:
-        raise InvalidInputError(f"partition must be a Partition, got {lam!r}")
-    if not lam.parts:
+    if not instance_argument("partition", lam, Partition).parts:
         return 1
     conj = transpose(lam).parts
     denom = 1

@@ -16,7 +16,7 @@ from math import comb
 from . import read_bundled
 from .errors import InvalidInputError, InvalidModelError, MissingDataError, ResourceLimitError
 from .frozen import Frozen
-from .rationals import integer_argument, parse_rational, rational_argument
+from .rationals import instance_argument, integer_argument, parse_rational, rational_argument
 
 # The recursion nests d calls deep, so the ceiling stays well inside the
 # interpreter's recursion limit; d = 100 takes tens of milliseconds cold.
@@ -90,14 +90,18 @@ class OracleTable(Frozen):
             )
         checked = {}
         for key, entry in entries.items():
+            instance_argument("key", key, str, "a string")
             if not isinstance(entry, (tuple, list)) or len(entry) != 2:
                 raise InvalidInputError(
                     f"entry {key!r} must be a (value, provenance) pair, got {entry!r}"
                 )
-            checked[key] = (rational_argument("value", entry[0]), entry[1])
+            value, provenance = entry
+            checked[key] = (rational_argument("value", value),
+                            instance_argument("provenance", provenance, str, "a string"))
         self._set(checked)
 
     def with_entry(self, key: str, value, provenance: str) -> "OracleTable":
+        instance_argument("key", key, str, "a string")  # before the key is hashed
         return OracleTable({**self.entries, key: (value, provenance)})
 
     def keys(self):
@@ -111,12 +115,11 @@ def lookup(key: str, table: OracleTable | None = None) -> Fraction:
 
 
 def lookup_with_provenance(key: str, table: OracleTable | None = None):
-    if key.__class__ is not str:
-        raise InvalidInputError(f"key must be a string, got {key!r}")
+    instance_argument("key", key, str, "a string")
     if table is None:
         table = bundled_table()
-    elif table.__class__ is not OracleTable:
-        raise InvalidInputError(f"table must be an OracleTable or None, got {table!r}")
+    else:
+        instance_argument("table", table, OracleTable, "an OracleTable or None")
     entry = table.entries.get(key)
     if entry is None:
         raise MissingDataError(key)

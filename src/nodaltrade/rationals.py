@@ -3,10 +3,10 @@ strings, one common denominator, and one division of integers by their gcd,
 which `new_in_lowest_terms` applies to build every value kept over one denominator.
 
 All machine-readable output renders numbers this way so that no consumer
-ever sees a float.  `integer_argument` alone decides what an integer
-argument is, `sequence_argument` what a sequence argument is,
-`integer_sequence` what a sequence of integers is, and `rational_argument`
-what a rational argument is.
+ever sees a float.  One gate here alone decides each kind of argument:
+`integer_argument` an integer, `sequence_argument` a sequence, `integer_sequence`
+one of integers, `exact_sequence` one of ints and Fractions, `rational_argument`
+a rational and `instance_argument` a value of one class; see the README.
 """
 
 from fractions import Fraction
@@ -61,6 +61,14 @@ def sequence_argument(name: str, values, of: str = "", error=InvalidInputError) 
         raise error(f"{name} must be a sequence{of}, got {values!r}") from exc
 
 
+def instance_argument(name: str, value, cls, what=None, error=InvalidInputError):
+    """A value of exactly the class `cls`, never a subclass; a refusal is an `error`
+    naming the argument and what it must be: `what`, else "a" and the class name."""
+    if value.__class__ is not cls:
+        raise error(f"{name} must be {what or 'a ' + cls.__name__}, got {value!r}")
+    return value
+
+
 def integer_sequence(name: str, values, entry: str, minimum=None, within=None) -> tuple:
     """`sequence_argument` whose every entry passes `integer_argument` under the
     name `entry`; a refusal of the sequence names the model it is read
@@ -68,6 +76,16 @@ def integer_sequence(name: str, values, entry: str, minimum=None, within=None) -
     values = sequence_argument(name, values, f" of integers in {within}" if within else " of integers")
     for value in values:
         integer_argument(entry, value, minimum)
+    return values
+
+
+def exact_sequence(name: str, values, entry: str, of: str = "") -> tuple:
+    """`sequence_argument` whose every entry is an int or a Fraction, checked by
+    type, so never a bool, a float or a string; a refused entry is named `entry`."""
+    values = sequence_argument(name, values, of)
+    if not set(map(type, values)) <= {int, Fraction}:
+        value = next(v for v in values if type(v) not in (int, Fraction))
+        raise InvalidInputError(f"{entry} must be an int or a Fraction, got {value!r}")
     return values
 
 

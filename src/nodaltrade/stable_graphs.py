@@ -27,7 +27,7 @@ from fractions import Fraction
 from .errors import InvalidInputError, ResourceLimitError
 from .cohomology import kunneth_diagonal, kunneth_reorder_sign
 from .frozen import Frozen
-from .rationals import integer_argument, integer_sequence, sequence_argument
+from .rationals import instance_argument, integer_argument, integer_sequence, sequence_argument
 
 INTERIOR = "interior"
 RELATIVE = "relative"
@@ -70,8 +70,7 @@ class StableGraph(Frozen):
         edges = sequence_argument("edges", edges)
         legs = sequence_argument("legs", legs)
         for v in vertices:
-            if v.__class__ is not Vertex:
-                raise InvalidInputError(f"vertex must be a Vertex, got {v!r}")
+            instance_argument("vertex", v, Vertex)
         nv = len(vertices)
         for edge in edges:
             if edge.__class__ is not tuple or len(edge) != 2:
@@ -82,9 +81,7 @@ class StableGraph(Frozen):
             if not (0 <= a < nv and 0 <= b < nv):
                 raise InvalidInputError(f"edge ({a},{b}) out of vertex range")
         for leg in legs:
-            if leg.__class__ is not Leg:
-                raise InvalidInputError(f"leg must be a Leg, got {leg!r}")
-            if not 0 <= leg.vertex < nv:
+            if not 0 <= instance_argument("leg", leg, Leg).vertex < nv:
                 raise InvalidInputError(f"leg {leg.marking} attached out of range")
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
@@ -163,8 +160,7 @@ def _class_sum(classes):
 def contract_edges(graph: StableGraph) -> StableGraph:
     """Contract every edge: one vertex per component, genus summed plus the
     component's first Betti number, classes summed, legs preserved."""
-    if graph.__class__ is not StableGraph:
-        raise InvalidInputError(f"graph must be a StableGraph, got {graph!r}")
+    instance_argument("graph", graph, StableGraph)
     parent = list(range(len(graph.vertices)))
 
     def find(x):

@@ -30,7 +30,7 @@ from .frozen import Frozen
 from .loop_matrix import ORTHOGONAL, PairingVector, admissible_partitions, flavor_dimension
 from .pairings import Pairing, check_n, check_permutation, crossing_number, enumerate_pairings
 from .partitions import hook_dimension
-from .rationals import (integer_argument, integer_sequence, new_in_lowest_terms,
+from .rationals import (instance_argument, integer_argument, integer_sequence, new_in_lowest_terms,
                         over_common_denominator, sequence_argument)
 
 BRUTE_FORCE_MAX_N = 3
@@ -185,7 +185,8 @@ def pairing_supports(p: Pairing, space: BilinearSpace):
     slot order and carries the global crossing sign (-1)^c(P); the
     orthogonal factor is symmetric so no ordering or sign is needed.
     """
-    check_brute_force_budget(p.n, space.dim)
+    check_brute_force_budget(instance_argument("pairing", p, Pairing).n,
+                             instance_argument("space", space, BilinearSpace).dim)
     sign = -1 if space.flavor != ORTHOGONAL and crossing_number(p) % 2 else 1
     weight = slot_weights(space.dim, 2 * p.n)
     nonzero = [(a, b, f) for a, row in enumerate(space.form) for b, f in enumerate(row) if f]
@@ -211,9 +212,11 @@ def permute_slots(t: Tensor, g, basis=None) -> Tensor:
     g is a 1-based image tuple; basis holds one (image, sign) per basis
     index, the identity by default.  Both are bijections on the flats.
     """
-    g = check_permutation(g, t.order)
-    basis = tuple((b, 1) for b in range(t.dim)) if basis is None else tuple(basis)
-    if sorted(b for b, _ in basis) != list(range(t.dim)) or {s for _, s in basis} - {1, -1}:
+    g = check_permutation(g, instance_argument("tensor", t, Tensor).order)
+    basis = (tuple((b, 1) for b in range(t.dim)) if basis is None
+             else sequence_argument("basis map", basis))
+    if not (all(e.__class__ in (tuple, list) and tuple(map(type, e)) == (int, int) for e in basis)
+            and sorted(b for b, _ in basis) == list(range(t.dim)) and {s for _, s in basis} <= {1, -1}):
         raise InvalidInputError(f"basis map must be a signed permutation of 0..{t.dim - 1}")
     # new[a] = old[a o g]: the old index digit at slot j lands in slot g(j)
     weight = slot_weights(t.dim, t.order)
@@ -276,13 +279,13 @@ def _pairing_tensors(n: int, space: BilinearSpace):
 
 def all_form_tensors(n: int, space: BilinearSpace):
     """The form tensors of all n-pairings in enumeration order, built once."""
-    check_brute_force_budget(n, space.dim)
+    check_brute_force_budget(n, instance_argument("space", space, BilinearSpace).dim)
     return _pairing_tensors(n, space)[0]
 
 
 def all_diagonal_multivectors(n: int, space: BilinearSpace):
     """The diagonal multivectors of all n-pairings in enumeration order, built once."""
-    check_brute_force_budget(n, space.dim)
+    check_brute_force_budget(n, instance_argument("space", space, BilinearSpace).dim)
     return _pairing_tensors(n, space)[1]
 
 
@@ -294,7 +297,8 @@ def form_combination(v: PairingVector, space: BilinearSpace) -> Tensor:
     totals over v's denominator on the cell's class table; a class whose
     total is 0 is absent from the views.
     """
-    forms, _, table, form_sparse, _ = _pairing_tensors(v.n, space)
+    forms, _, table, form_sparse, _ = _pairing_tensors(
+        v.n, instance_argument("space", space, BilinearSpace))
     totals = [0] * len(forms[0].numerators)
     for c, (classes, values) in zip(v.numerators, form_sparse):
         if c:
@@ -311,7 +315,7 @@ def diagonal_row(t: Tensor, space: BilinearSpace) -> PairingVector:
     the class size times t's numerator over the classes where D_Q is
     nonzero.  Any other tensor goes through `contract` against each D_Q.
     """
-    if t.dim != space.dim:
+    if t.dim != instance_argument("space", space, BilinearSpace).dim:
         raise InvalidInputError(f"tensor has dim {t.dim}, the space has dim {space.dim}")
     _, diags, table, _, diag_sparse = _pairing_tensors(t.n, space)
     if t.table is not table:
@@ -343,7 +347,7 @@ def invariant_map_rank(n: int, space: BilinearSpace):
     back as pairing vectors: the linear combinations of pairings whose
     tensors cancel.  The rank is (2n-1)!! less the kernel dimension.
     """
-    check_brute_force_budget(n, space.dim)
+    check_brute_force_budget(n, instance_argument("space", space, BilinearSpace).dim)
     form_rows = [form.numerators for form in _pairing_tensors(n, space)[0]]
     kernel = [PairingVector(n, combo) for combo in linalg.left_kernel(form_rows)]
     r = len(form_rows) - len(kernel)

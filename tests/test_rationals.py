@@ -1,3 +1,4 @@
+import importlib
 import re
 from fractions import Fraction
 from math import gcd
@@ -36,7 +37,7 @@ from nodaltrade.loop_matrix import (
     isotypic_component,
     restricted_inverse_apply,
 )
-from nodaltrade.node_trade import primitive_insertion_pairs, recover
+from nodaltrade.node_trade import InvariantTensor, primitive_insertion_pairs, recover
 from nodaltrade.pairings import Pairing, act_permutation, crossing_number, loop_type
 from nodaltrade.partitions import Partition, all_partitions, even_row_partitions, hook_dimension
 from nodaltrade.plane_counts import (
@@ -46,10 +47,13 @@ from nodaltrade.plane_counts import (
     lookup_with_provenance,
     pencil_reducible_count,
 )
-from nodaltrade.rationals import as_rational, format_rational, over_common_denominator
+from nodaltrade.rationals import (as_rational, exact_sequence, format_rational, instance_argument,
+                                  over_common_denominator)
 from nodaltrade.stable_graphs import Leg, StableGraph, Vertex, contract_edges, enumerate_splittings
-from nodaltrade.tensor_oracle import (BilinearSpace, Tensor, all_form_tensors, check_brute_force_budget,
-                                      diagonal_row)
+from nodaltrade.tensor_oracle import (BilinearSpace, Tensor, all_diagonal_multivectors,
+                                      all_form_tensors, check_brute_force_budget,
+                                      diagonal_insertion_matrix, diagonal_row, form_combination,
+                                      invariant_map_rank, pairing_supports, permute_slots)
 
 
 class Tagged(Fraction):
@@ -121,6 +125,9 @@ def _integer(argument, below=None, refusal=None):
 POINT = (Vertex(0, (1,)),)
 SYMPLECTIC_DIM_2 = BilinearSpace("symplectic", 1)
 N1_VECTOR = PairingVector(1, (1,))
+DIM_2_TENSOR = Tensor(1, 2, (1,), (1,))
+# a space given as the arguments of one, and as a number
+SPACE_REFUSALS = [(v, f"space must be a BilinearSpace, got {v!r}") for v in (5, ("symplectic", 1))]
 
 # every gated argument, with the value it is given in and what each refused
 # value must raise: an InvalidInputError unless a third entry names the error
@@ -356,6 +363,35 @@ GATED = {
     "enumerate_splittings": (
         lambda v: enumerate_splittings(StableGraph(v, ((0, 1),), ()), cubic_scenario()),
         [((Vertex(0, (1,)), Vertex(0, (2,))), "splitting enumeration expects a one-vertex parent")]),
+    "all_form_tensors.space": (lambda v: all_form_tensors(1, v), SPACE_REFUSALS),
+    "all_diagonal_multivectors.space": (lambda v: all_diagonal_multivectors(1, v), SPACE_REFUSALS),
+    "form_combination.space": (lambda v: form_combination(N1_VECTOR, v), SPACE_REFUSALS),
+    "diagonal_row.space": (lambda v: diagonal_row(DIM_2_TENSOR, v), SPACE_REFUSALS),
+    "invariant_map_rank.space": (lambda v: invariant_map_rank(1, v), SPACE_REFUSALS),
+    "diagonal_insertion_matrix.space": (lambda v: diagonal_insertion_matrix(1, v), SPACE_REFUSALS),
+    "pairing_supports.space": (lambda v: pairing_supports(Pairing(((1, 2),)), v), SPACE_REFUSALS),
+    "pairing_supports.pairing": (
+        lambda v: pairing_supports(v, SYMPLECTIC_DIM_2),
+        [(v, f"pairing must be a Pairing, got {v!r}") for v in (5, ((1, 2),))]),
+    "InvariantTensor.space": (lambda v: InvariantTensor(1, v, (1,)), SPACE_REFUSALS),
+    "InvariantTensor.from_coordinates.space": (lambda v: InvariantTensor.from_coordinates(1, v, (1,)),
+                                               SPACE_REFUSALS),
+    "recover.space": (lambda v: recover((1,), 1, v), SPACE_REFUSALS),
+    "permute_slots.tensor": (lambda v: permute_slots(v, (1, 2)),
+                             [(v, f"tensor must be a Tensor, got {v!r}") for v in (5, N1_VECTOR)]),
+    "permute_slots.basis": (lambda v: permute_slots(DIM_2_TENSOR, (1, 2), v),
+                            [(5, "basis map must be a sequence, got 5"),
+                             *[(v, "basis map must be a signed permutation of 0..1")
+                               for v in ((5, 5), "ab", ((0, 1), (1, 1, 1)), ((0.0, 1), (1, 1)),
+                                         ((0, 1.0), (1, 1)), ((True, 1), (0, 1)), ([0, 1], [1, 2]))]]),
+    "OracleTable.key": (lambda v: OracleTable({v: (1, "p")}),
+                        [(v, f"key must be a string, got {v!r}") for v in (5, True, None, ("k",))]),
+    "OracleTable.with_entry.key": (lambda v: OracleTable().with_entry(v, 1, "p"),
+                                   [(v, f"key must be a string, got {v!r}") for v in (5, ["k"])]),
+    "OracleTable.provenance": (lambda v: OracleTable({"k": (1, v)}),
+                               [(v, f"provenance must be a string, got {v!r}") for v in (5, None)]),
+    "OracleTable.with_entry.provenance": (lambda v: OracleTable().with_entry("k", 1, v),
+                                          [(5, "provenance must be a string, got 5")]),
 }
 
 
@@ -376,13 +412,57 @@ def test_a_generator_gives_what_its_tuple_gives():
     assert p2.intersect((a for a in (2,)), "H") == p2.intersect((2,), "H") == 2
 
 
-def test_only_the_integer_gate_decides_what_an_integer_is():
-    package = Path(nodaltrade.__file__).parent
-    holders = sorted(f.name for f in package.glob("*.py") if "must be an integer" in f.read_text())
-    assert holders == ["rationals.py"]
+PACKAGE = Path(nodaltrade.__file__).parent
+VALUE_CLASSES = sorted(
+    value.__name__
+    for module in (importlib.import_module(f"nodaltrade.{f.stem}") for f in PACKAGE.glob("[!_]*.py"))
+    for value in vars(module).values()
+    if isinstance(value, type) and value.__module__ == module.__name__
+    and not issubclass(value, BaseException)
+)
+# the refusal text of each kind of argument and the modules that may write it:
+# its gate's; none may check a value class by hand or write its refusal, which
+# `instance_argument` builds
+REFUSAL_OWNERS = {
+    "integer": ("must be an integer", ["rationals.py"]),
+    "sequence": ("must be a sequence", ["rationals.py"]),
+    "exact-value": ("must be an int or a Fraction", ["rationals.py"]),
+    **{name: (rf"must be an? {name}\b|__class__ is not {name}\b", []) for name in VALUE_CLASSES},
+}
 
 
-def test_only_the_sequence_gate_decides_what_a_sequence_is():
-    package = Path(nodaltrade.__file__).parent
-    holders = sorted(f.name for f in package.glob("*.py") if "must be a sequence" in f.read_text())
-    assert holders == ["rationals.py"]
+@pytest.mark.parametrize("kind", list(REFUSAL_OWNERS))
+def test_only_the_gate_of_a_kind_of_argument_writes_its_refusal(kind):
+    text, owners = REFUSAL_OWNERS[kind]
+    holders = sorted(f.name for f in PACKAGE.glob("*.py") if re.search(text, f.read_text()))
+    assert holders == owners
+
+
+def test_the_value_classes_are_found():
+    expected = {"Pairing", "Partition", "StableGraph", "CohRing", "OracleTable", "Tensor"}
+    assert expected <= set(VALUE_CLASSES)
+
+
+class Named(str):
+    pass
+
+
+def test_the_class_gate_takes_the_class_itself_and_nothing_else():
+    p = Pairing(((1, 2),))
+    assert instance_argument("pairing", p, Pairing) is p
+    with pytest.raises(InvalidInputError, match=r"^name must be a str, got 'x'$"):
+        instance_argument("name", Named("x"), str)
+    with pytest.raises(InvalidInputError, match=r"^value must be a Fraction, got Tagged\(1, 2\)$"):
+        instance_argument("value", Tagged(1, 2), Fraction)
+    with pytest.raises(InvalidInputError, match=r"^key must be a string, got True$"):
+        instance_argument("key", True, str, "a string")
+
+
+def test_the_exact_value_gate_takes_ints_and_fractions_by_type():
+    assert exact_sequence("v", (x for x in (1, Fraction(1, 2))), "entry") == (1, Fraction(1, 2))
+    for value in (True, 0.5, Tagged(1, 2), "1"):
+        message = f"entry must be an int or a Fraction, got {value!r}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            exact_sequence("v", (1, value), "entry")
+    with pytest.raises(InvalidInputError, match="^v must be a sequence of exact values, got 5$"):
+        exact_sequence("v", 5, "entry", " of exact values")
